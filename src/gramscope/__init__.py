@@ -9,6 +9,7 @@ from .estimator import (
     evaluate,
     factor,
     gauge_distance,
+    solve_table,
 )
 from .gram import (
     GramMatrix,
@@ -80,6 +81,7 @@ __all__ = [
     "sample_ensemble",
     "sample_projective_measurement",
     "sample_pure_state",
+    "solve_table",
     "solve_trace_min",
     "sym_eig",
     "vectorize",

@@ -1,14 +1,14 @@
 """Command-line front end: synth | estimate | batch | check-theory.
 
-Exit codes: 0 success, 1 check/assert failure, 2 config error, 3 I/O
-error. GRAMSCOPE_LOG in {error, warn, info, debug} controls verbosity.
-Flags override config-file values.
+Exit codes: 0 success, 1 check failure or program error (with a
+traceback), 2 config or input error, 3 I/O error. GRAMSCOPE_LOG in
+{error, warn, info, debug} controls verbosity. Flags override config-file
+values.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -18,16 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
-from .estimator import estimate, evaluate, trial_config_from_json
-from .gram import (
-    gram_to_json,
-    knowledge_projective,
-    knowledge_relax,
-    numerical_rank,
-    r_qm,
-    rank_certificate,
-)
-from .solver import SdpProblem, SolverOptions, solve_trace_min
+from .estimator import estimate, evaluate, solve_table, trial_config_from_json
+from .gram import gram_to_json, projective_multiplicities
+from .solver import solver_options_from_json
 from .synth import (
     born_table,
     dump_json,
@@ -39,7 +32,7 @@ from .synth import (
     table_to_json,
     validate_table,
 )
-from .theory import run_all_checks
+from .theory import MAX_BRUTEFORCE_N, run_all_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,12 +99,13 @@ def cmd_synth(args) -> int:
         seed = int(cfg.get("seed", 0))
         degeneracies = cfg.get("degeneracies")
         mixed = bool(cfg.get("mixed_states", False))
+        if min(d, w, v) < 1 or (shots is not None and int(shots) < 1):
+            raise ValueError("d, n_states, n_measurements and shots must be >= 1")
+        if degeneracies is not None and not all(isinstance(m, int) for m in degeneracies):
+            raise ValueError("degeneracies must be one list of multiplicities")
+        projective_multiplicities(d, k, v, degeneracies)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from exc
-    if degeneracies is None and k != d:
-        raise ConfigError(f"non-degenerate projective measurements need n_outcomes = d, got K={k}, d={d}")
-    if degeneracies is not None and len(degeneracies) != k:
-        raise ConfigError(f"degeneracy pattern has {len(degeneracies)} outcomes, config says {k}")
     rng = np.random.default_rng(seed)
     ens = sample_ensemble(d, w, v, rng, mixed=mixed, degeneracies=degeneracies)
     table = born_table(ens) if shots is None else finite_shot_table(ens, int(shots), rng)
@@ -128,31 +122,28 @@ def cmd_synth(args) -> int:
 def _estimate_from_data(cfg: dict, out: Path) -> int:
     """Single solve + certify on a previously recorded table (no ground
     truth, no augmentation loop)."""
-    data_dir = Path(cfg["data"])
-    table = table_from_json(_load_json(str(data_dir / "table.json")))
     try:
+        table = table_from_json(_load_json(str(Path(cfg["data"]) / "table.json")))
+        validate_table(table)
         d = int(cfg["d"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("estimating from data needs 'd' in the config") from exc
-    kn = knowledge_projective(table, d, cfg.get("degeneracies"))
-    eps = float(cfg.get("epsilon", 0.0))
-    if eps > 0:
-        kn = knowledge_relax(kn, eps, scope="data")
-    opts = SolverOptions(**cfg.get("solver", {}))
-    prob = SdpProblem(
-        n=kn.n, knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, d)
-    )
-    g_hat, report = solve_trace_min(prob, opts)
-    target_rank = numerical_rank(table.values)
-    certified = rank_certificate(g_hat, target_rank, float(cfg.get("tau", 1e-4)))
+        degeneracies = cfg.get("degeneracies")
+        projective_multiplicities(d, table.n_outcomes, table.n_measurements, degeneracies)
+        epsilon = float(cfg.get("epsilon", 0.0))
+        tau = float(cfg.get("tau", 1e-4))
+        if epsilon < 0 or tau <= 0:
+            raise ValueError(f"need epsilon >= 0 and tau > 0, got {epsilon}, {tau}")
+        solver = solver_options_from_json(cfg.get("solver", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad estimate config or table: {exc}") from exc
+    est = solve_table(table, d, degeneracies, epsilon, tau, solver)
     result = {
-        "certified": certified,
-        "target_rank": target_rank,
-        "report": report.to_json(),
+        "certified": est.certified,
+        "target_rank": est.target_rank,
+        "report": est.report.to_json(),
     }
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")
-    dump_json(gram_to_json(g_hat), out / "g_hat.json")
+    dump_json(gram_to_json(est.g_hat), out / "g_hat.json")
     return EXIT_OK
 
 
@@ -183,7 +174,7 @@ def cmd_estimate(args) -> int:
     if args.dump:
         dump_json(gram_to_json(est.g_hat), out / "g_hat.json")
         dump_json(ensemble_to_json(truth), out / "ground_truth.json")
-        dump_json(table_to_json(born_table(truth)), out / "table.json")
+        dump_json(table_to_json(est.table), out / "table.json")
     log.info(
         "estimate: certified=%s augmentations=%d max_err=%.2e",
         est.certified,
@@ -224,10 +215,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_check_theory(args) -> int:
-    try:
-        results = run_all_checks(args.n, args.trials, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not 1 <= args.n <= MAX_BRUTEFORCE_N:
+        raise ConfigError(f"brute-force checks need 1 <= n <= {MAX_BRUTEFORCE_N}, got {args.n}")
+    results = run_all_checks(args.n, args.trials, args.seed)
     for name, res in results.items():
         if name == "ok":
             continue
@@ -285,9 +275,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -69,6 +69,10 @@ class TrialConfig:
             raise ValueError("epsilon must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when finite")
+        if self.k != self.d:
+            raise ValueError(
+                f"projective non-degenerate trials need K = d, got K={self.k}, d={self.d}"
+            )
 
     @property
     def k(self) -> int:
@@ -77,7 +81,8 @@ class TrialConfig:
 
 @dataclass
 class GramEstimate:
-    """Solver output with rank certificate and optional gauge-fixed factor."""
+    """Solver output with rank certificate, optional gauge-fixed factor, and
+    the data table that was solved."""
 
     g_hat: GramMatrix
     certified: bool
@@ -85,6 +90,7 @@ class GramEstimate:
     augmentations: int
     report: SolverReport
     factor_matrix: np.ndarray | None = None
+    table: DataTable | None = None
 
 
 def trial_config_from_json(obj: dict) -> TrialConfig:
@@ -174,26 +180,62 @@ def _pad_for_measurement(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def solve_table(
+    table: DataTable,
+    d: int,
+    degeneracies: list[list[int]] | list[int] | None = None,
+    epsilon: float = 0.0,
+    tau: float = 1e-4,
+    solver: SolverOptions | None = None,
+    warm_primal: np.ndarray | None = None,
+) -> GramEstimate:
+    """Solve and certify one data table.
+
+    Pins the projective knowledge (data-block pins widened by ``epsilon``
+    when it is nonzero), trace-minimizes the completion in the spectral box
+    of radius W + V*d, and certifies the estimate when its singular-value
+    tail beyond the numerical rank of the table is at most ``tau``. A
+    certified estimate carries its rank-r factor.
+    """
+    kn = knowledge_projective(table, d, degeneracies)
+    if epsilon:
+        kn = knowledge_relax(kn, epsilon, scope="data")
+    target_rank = numerical_rank(table.values)
+    prob = SdpProblem(
+        n=kn.n,
+        knowledge=kn,
+        radius=r_qm(table.n_states, table.n_measurements, d),
+    )
+    g_hat, report = solve_trace_min(prob, solver, warm_primal)
+    certified = rank_certificate(g_hat, target_rank, tau)
+    return GramEstimate(
+        g_hat=g_hat,
+        certified=certified,
+        target_rank=target_rank,
+        augmentations=0,
+        report=report,
+        factor_matrix=factor(g_hat, target_rank) if certified else None,
+        table=table,
+    )
+
+
 def estimate(
     cfg: TrialConfig, rng: np.random.Generator | None = None
 ) -> tuple[GramEstimate, Ensemble]:
     """Run one full estimation trial; returns the estimate and the hidden
     ground-truth ensemble for evaluation.
 
-    An exhausted augmentation budget yields ``certified=False`` rather than
-    an exception; solver non-convergence is visible in the report.
+    Each step is one ``solve_table`` on the current table. An exhausted
+    augmentation budget yields ``certified=False`` rather than an
+    exception; solver non-convergence is visible in the report.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    if cfg.k != cfg.d:
-        raise ValueError(
-            f"projective non-degenerate trials need K = d, got K={cfg.k}, d={cfg.d}"
-        )
     ens = sample_ensemble(
         cfg.d, cfg.n_states, cfg.n_measurements, rng, mixed=cfg.mixed_states
     )
     vals = _table_values(ens, cfg.shots, rng)
 
-    warm_primal = warm_dual = None
+    warm_primal = None
     augmentations = 0
     add_state_next = cfg.state_first
     while True:
@@ -204,40 +246,27 @@ def estimate(
             n_outcomes=ens.n_outcomes,
             shots=cfg.shots,
         )
-        kn = knowledge_projective(table, cfg.d)
-        if cfg.shots is not None and cfg.epsilon > 0:
-            kn = knowledge_relax(kn, cfg.epsilon, scope="data")
-        target_rank = numerical_rank(vals)
-        prob = SdpProblem(
-            n=kn.n,
-            knowledge=kn,
-            radius=r_qm(ens.n_states, ens.n_measurements, cfg.d),
+        est = solve_table(
+            table,
+            cfg.d,
+            epsilon=cfg.epsilon if cfg.shots is not None else 0.0,
+            tau=cfg.tau,
+            solver=cfg.solver,
+            warm_primal=warm_primal,
         )
-        g_hat, report = solve_trace_min(prob, cfg.solver, warm_primal, warm_dual)
-        certified = rank_certificate(g_hat, target_rank, cfg.tau)
-        if certified or augmentations >= cfg.max_augmentations:
+        if est.certified or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
             w_old = ens.n_states
             ens, vals = _add_state(ens, vals, cfg.shots, rng)
-            warm_primal = _pad_for_state(g_hat.values, w_old)
-            warm_dual = np.zeros_like(warm_primal)
+            warm_primal = _pad_for_state(est.g_hat.values, w_old)
         else:
             ens, vals = _add_measurement(ens, vals, cfg.shots, rng)
-            warm_primal = _pad_for_measurement(g_hat.values, ens.n_outcomes)
-            warm_dual = np.zeros_like(warm_primal)
+            warm_primal = _pad_for_measurement(est.g_hat.values, ens.n_outcomes)
         add_state_next = not add_state_next
         augmentations += 1
 
-    factor_matrix = factor(g_hat, target_rank) if certified else None
-    est = GramEstimate(
-        g_hat=g_hat,
-        certified=certified,
-        target_rank=target_rank,
-        augmentations=augmentations,
-        report=report,
-        factor_matrix=factor_matrix,
-    )
+    est.augmentations = augmentations
     return est, ens
 
 

@@ -2,8 +2,8 @@
 
 A realization stacks the vectorized states and effects as columns of
 P = (P_st | P_m); the Gram matrix is G = P^T P and carries the data table
-as its upper-right W x (V*K) block. Knowledge objects record which Gram
-entries are pinned (exactly or to an interval) before completion.
+as its upper-right W x (V*K) block. Knowledge objects pin Gram entries
+to intervals [lo, hi] (exact values when lo == hi) before completion.
 """
 
 from __future__ import annotations
@@ -51,64 +51,50 @@ class GramMatrix:
         return self.values[: self.n_states, self.n_states :]
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One pinned Gram entry at (i, j), i <= j; symmetric counterpart implied."""
-
-    i: int
-    j: int
-    kind: str  # "exact" | "interval"
-    value: float | None = None
-    lo: float | None = None
-    hi: float | None = None
+#: One pin: G[i, j] = G[j, i] lies in [lo, hi], with i <= j. An exact pin
+#: has lo == hi.
+PIN = np.dtype([("i", np.intp), ("j", np.intp), ("lo", float), ("hi", float)])
 
 
 @dataclass(frozen=True)
 class Knowledge:
-    """A-priori constraints on Gram entries, upper-triangle indices only.
+    """A-priori knowledge of Gram entries: one array of pins (i, j, lo, hi).
 
-    ``split`` records the state/effect block boundary W when known, which
-    lets interval relaxation target the data block.
+    ``constraints`` accepts any sequence of (i, j, lo, hi) rows and is
+    stored as an array of dtype ``PIN``. ``split`` records the
+    state/effect block boundary W when known, which lets interval
+    relaxation target the data block.
     """
 
     n: int
-    constraints: list = field(default_factory=list)
+    constraints: np.ndarray = field(default_factory=lambda: np.empty(0, PIN))
     split: int | None = None
 
     def __post_init__(self):
-        seen = set()
-        for c in self.constraints:
-            if not (0 <= c.i <= c.j < self.n):
-                raise ValueError(f"constraint index ({c.i},{c.j}) out of range for n={self.n}")
-            if (c.i, c.j) in seen:
-                raise ValueError(f"duplicate constraint at ({c.i},{c.j})")
-            seen.add((c.i, c.j))
-            if c.kind == "exact":
-                if c.value is None or not np.isfinite(c.value):
-                    raise ValueError(f"exact constraint at ({c.i},{c.j}) needs a finite value")
-            elif c.kind == "interval":
-                if c.lo is None or c.hi is None or c.lo > c.hi:
-                    raise ValueError(f"interval constraint at ({c.i},{c.j}) needs lo <= hi")
-            else:
-                raise ValueError(f"unknown constraint kind {c.kind!r}")
+        pins = self.constraints
+        if not (isinstance(pins, np.ndarray) and pins.dtype == PIN):
+            pins = np.array([tuple(p) for p in pins], dtype=PIN)
+            object.__setattr__(self, "constraints", pins)
+        i, j, lo, hi = pins["i"], pins["j"], pins["lo"], pins["hi"]
+        bad = (i < 0) | (i > j) | (j >= self.n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"pin index ({i[k]},{j[k]}) out of range for n={self.n}")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("pin bounds must be finite")
+        if (lo > hi).any():
+            k = int(np.argmax(lo > hi))
+            raise ValueError(f"pin at ({i[k]},{j[k]}) needs lo <= hi")
+        # A mask, not np.unique: that pulls in numpy.ma on first use.
+        seen = np.zeros((self.n, self.n), dtype=bool)
+        seen[i, j] = True
+        if np.count_nonzero(seen) < len(pins):
+            raise ValueError("two pins share an entry (duplicate pin)")
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """Index/value arrays (ei, ej, ev, ii, ij, ilo, ihi) for vectorized use."""
-        ex = [(c.i, c.j, c.value) for c in self.constraints if c.kind == "exact"]
-        iv = [(c.i, c.j, c.lo, c.hi) for c in self.constraints if c.kind == "interval"]
-        ei, ej, ev = (np.array(x) for x in zip(*ex)) if ex else (np.array([], dtype=int),) * 3
-        ii, ij, ilo, ihi = (
-            (np.array(x) for x in zip(*iv)) if iv else (np.array([], dtype=int),) * 4
-        )
-        return (
-            np.asarray(ei, dtype=int),
-            np.asarray(ej, dtype=int),
-            np.asarray(ev, dtype=float),
-            np.asarray(ii, dtype=int),
-            np.asarray(ij, dtype=int),
-            np.asarray(ilo, dtype=float),
-            np.asarray(ihi, dtype=float),
-        )
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Views (i, j, lo, hi) of the pin array."""
+        pins = self.constraints
+        return pins["i"], pins["j"], pins["lo"], pins["hi"]
 
 
 def realize(ens: Ensemble, basis: HermBasis) -> Realization:
@@ -146,6 +132,37 @@ def r_qm(n_states: int, n_measurements: int, d: int) -> float:
     return float(n_states + n_measurements * d)
 
 
+def projective_multiplicities(
+    d: int,
+    n_outcomes: int,
+    n_measurements: int,
+    degeneracies: list[list[int]] | list[int] | None = None,
+) -> list[list[int]]:
+    """Outcome multiplicities of each of V projective K-outcome measurements.
+
+    ``degeneracies`` may be one multiplicity list applied to every
+    measurement or one list per measurement; default is non-degenerate,
+    which requires K = d. Raises ValueError on an inconsistent pattern.
+    """
+    k_, v_ = n_outcomes, n_measurements
+    if degeneracies is None:
+        if k_ != d:
+            raise ValueError(
+                f"non-degenerate projective knowledge needs K = d, got K={k_}, d={d}"
+            )
+        return [[1] * d] * v_
+    if degeneracies and isinstance(degeneracies[0], int):
+        per_v = [list(degeneracies)] * v_
+    else:
+        per_v = [list(m) for m in degeneracies]
+    if len(per_v) != v_:
+        raise ValueError(f"expected {v_} degeneracy lists, got {len(per_v)}")
+    for mults in per_v:
+        if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
+            raise ValueError(f"degeneracy pattern {mults} inconsistent with K={k_}, d={d}")
+    return per_v
+
+
 def knowledge_projective(
     table: DataTable,
     d: int,
@@ -156,47 +173,26 @@ def knowledge_projective(
     Pins (a) every data-block entry G[w, W + v*K + k] to the observed
     frequency and (b) each within-measurement block of G_m to
     diag(multiplicities) (identity for non-degenerate). Cross-measurement
-    blocks and G_st stay free.
-
-    ``degeneracies`` may be one multiplicity list applied to every
-    measurement or one list per measurement; default is non-degenerate,
-    which requires K = d.
+    blocks and G_st stay free. ``degeneracies`` is as in
+    ``projective_multiplicities``.
     """
     w_, v_, k_ = table.n_states, table.n_measurements, table.n_outcomes
-    if degeneracies is None:
-        if k_ != d:
-            raise ValueError(
-                f"non-degenerate projective knowledge needs K = d, got K={k_}, d={d}"
-            )
-        per_v = [[1] * d] * v_
-    else:
-        if degeneracies and isinstance(degeneracies[0], int):
-            per_v = [list(degeneracies)] * v_
-        else:
-            per_v = [list(m) for m in degeneracies]
-        if len(per_v) != v_:
-            raise ValueError(f"expected {v_} degeneracy lists, got {len(per_v)}")
-        for mults in per_v:
-            if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
-                raise ValueError(f"degeneracy pattern {mults} inconsistent with K={k_}, d={d}")
-    n = w_ + v_ * k_
-    constraints = []
-    for w in range(w_):
-        for col in range(v_ * k_):
-            constraints.append(
-                Constraint(i=w, j=w_ + col, kind="exact", value=float(table.values[w, col]))
-            )
-    for v in range(v_):
-        base = w_ + v * k_
-        for k in range(k_):
-            for q in range(k, k_):
-                val = float(per_v[v][k]) if k == q else 0.0
-                constraints.append(Constraint(i=base + k, j=base + q, kind="exact", value=val))
-    return Knowledge(n=n, constraints=constraints, split=w_)
+    mults = np.array(projective_multiplicities(d, k_, v_, degeneracies), dtype=float)
+    # Data block: (w, W + c) for every table cell c of row w, row-major.
+    # Measurement blocks: upper triangle (k, q) of each K x K block at base.
+    base = (w_ + k_ * np.arange(v_))[:, None]
+    ku, qu = np.triu_indices(k_)
+    pins = np.empty(table.values.size + v_ * ku.size, PIN)
+    pins["i"] = np.concatenate([np.repeat(np.arange(w_), v_ * k_), (base + ku).ravel()])
+    pins["j"] = np.concatenate([np.tile(np.arange(w_, w_ + v_ * k_), w_), (base + qu).ravel()])
+    pins["lo"] = pins["hi"] = np.concatenate(
+        [table.values.ravel(), np.where(ku == qu, mults[:, ku], 0.0).ravel()]
+    )
+    return Knowledge(n=w_ + v_ * k_, constraints=pins, split=w_)
 
 
 def knowledge_relax(kn: Knowledge, eps: float, scope: str = "data") -> Knowledge:
-    """Widen exact constraints into intervals [value - eps, value + eps].
+    """Widen exact pins (lo == hi) into intervals [value - eps, value + eps].
 
     ``scope`` is "data" (data-block entries only; needs ``kn.split``) or
     "all". eps = 0 returns the knowledge unchanged.
@@ -209,16 +205,13 @@ def knowledge_relax(kn: Knowledge, eps: float, scope: str = "data") -> Knowledge
         return kn
     if scope == "data" and kn.split is None:
         raise ValueError("data-block relaxation needs a knowledge object with a block split")
-    out = []
-    for c in kn.constraints:
-        in_scope = scope == "all" or (c.i < kn.split <= c.j)
-        if c.kind == "exact" and in_scope:
-            out.append(
-                Constraint(i=c.i, j=c.j, kind="interval", lo=c.value - eps, hi=c.value + eps)
-            )
-        else:
-            out.append(c)
-    return replace(kn, constraints=out)
+    pins = kn.constraints.copy()
+    widen = pins["lo"] == pins["hi"]
+    if scope == "data":
+        widen &= (pins["i"] < kn.split) & (kn.split <= pins["j"])
+    pins["lo"][widen] -= eps
+    pins["hi"][widen] += eps
+    return replace(kn, constraints=pins)
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-6) -> int:
@@ -251,42 +244,9 @@ def rank_certificate(g_hat: GramMatrix, target_rank: int, tau: float = 1e-4) -> 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def knowledge_to_json(kn: Knowledge) -> dict:
-    constraints = []
-    for c in kn.constraints:
-        if c.kind == "exact":
-            constraints.append({"i": c.i, "j": c.j, "kind": "exact", "value": c.value})
-        else:
-            constraints.append({"i": c.i, "j": c.j, "kind": "interval", "lo": c.lo, "hi": c.hi})
-    obj = {"n": kn.n, "constraints": constraints}
-    if kn.split is not None:
-        obj["split"] = kn.split
-    return obj
-
-
-def knowledge_from_json(obj: dict) -> Knowledge:
-    constraints = []
-    for c in obj["constraints"]:
-        if c["kind"] == "exact":
-            constraints.append(Constraint(i=c["i"], j=c["j"], kind="exact", value=c["value"]))
-        else:
-            constraints.append(
-                Constraint(i=c["i"], j=c["j"], kind="interval", lo=c["lo"], hi=c["hi"])
-            )
-    return Knowledge(n=int(obj["n"]), constraints=constraints, split=obj.get("split"))
-
-
 def gram_to_json(g: GramMatrix) -> dict:
     return {
         "n_states": g.n_states,
         "n_effects": g.n_effects,
         "values": [[float(x) for x in row] for row in g.values],
     }
-
-
-def gram_from_json(obj: dict) -> GramMatrix:
-    return GramMatrix(
-        values=np.array(obj["values"], dtype=float),
-        n_states=int(obj["n_states"]),
-        n_effects=int(obj["n_effects"]),
-    )

@@ -3,7 +3,7 @@
 The problem
 
     minimize  tr(G)
-    s.t.      pinned entries of G match their exact values / intervals,
+    s.t.      pinned entries of G lie in their intervals [lo, hi],
               0 <= G <= R * I   (spectral box),
 
 is split over two sets: the entrywise knowledge set with the trace folded
@@ -84,57 +84,51 @@ class SolverReport:
         }
 
 
+def _clip_pins(x: np.ndarray, kn: Knowledge) -> np.ndarray:
+    """Clip the pinned entries of ``x`` into [lo, hi] in place, mirrored to
+    (j, i). An exact pin (lo == hi) lands on its value exactly."""
+    i, j, lo, hi = kn.arrays()
+    x[i, j] = x[j, i] = np.clip(x[i, j], lo, hi)
+    return x
+
+
 def project_knowledge(m: np.ndarray, kn: Knowledge) -> np.ndarray:
     """Frobenius-nearest matrix satisfying the pinned entries.
 
-    Exact entries are overwritten (at (i,j) and (j,i)), interval entries
-    clamped into [lo, hi], everything else left alone.
+    Pinned entries are clipped into [lo, hi] at (i, j) and (j, i);
+    everything else is left alone.
     """
     if m.shape != (kn.n, kn.n):
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
-    ei, ej, ev, ii, ij, ilo, ihi = kn.arrays()
-    x = np.array(m, dtype=float, copy=True)
-    x[ei, ej] = ev
-    x[ej, ei] = ev
-    clamped = np.clip(x[ii, ij], ilo, ihi)
-    x[ii, ij] = clamped
-    x[ij, ii] = clamped
-    return x
+    return _clip_pins(np.array(m, dtype=float, copy=True), kn)
 
 
 def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.ndarray:
     """argmin_X { tr(X) + (sigma/2) ||X - M||_F^2 : X in knowledge set }.
 
-    Separable over entries: free diagonal entries shift by 1/sigma, free
-    off-diagonal entries stay put, exact entries are pinned, interval
-    entries clamp (after the trace shift when they sit on the diagonal).
+    Separable over entries: every diagonal entry shifts by -1/sigma, then
+    pinned entries are clipped into [lo, hi]; free off-diagonal entries
+    stay put.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if m.shape != (kn.n, kn.n):
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
-    ei, ej, ev, ii, ij, ilo, ihi = kn.arrays()
     x = np.array(m, dtype=float, copy=True)
-    idx = np.arange(kn.n)
-    x[idx, idx] -= 1.0 / sigma
-    x[ei, ej] = ev
-    x[ej, ei] = ev
-    clamped = np.clip(x[ii, ij], ilo, ihi)
-    x[ii, ij] = clamped
-    x[ij, ii] = clamped
-    return x
+    x[np.diag_indices(kn.n)] -= 1.0 / sigma
+    return _clip_pins(x, kn)
 
 
 def solve_trace_min(
     prob: SdpProblem,
     opts: SolverOptions | None = None,
     warm_primal: np.ndarray | None = None,
-    warm_dual: np.ndarray | None = None,
 ) -> tuple[GramMatrix, SolverReport]:
     """Run the two-block ADMM until both residuals fall below tolerance.
 
     Returns the spectral-box iterate (exactly PSD with norm <= R) and a
-    report. Non-convergence within ``max_iters`` is not an exception: the
+    report. ``warm_primal`` starts the spectral-box iterate (the dual starts
+    at zero). Non-convergence within ``max_iters`` is not an exception: the
     last iterate is returned with ``converged=False``. Fixed inputs and
     iteration counts give bit-identical output.
     """
@@ -143,9 +137,9 @@ def solve_trace_min(
     kn = prob.knowledge
     radius = prob.radius
     z = np.zeros((n, n)) if warm_primal is None else np.array(warm_primal, dtype=float)
-    u = np.zeros((n, n)) if warm_dual is None else np.array(warm_dual, dtype=float)
-    if z.shape != (n, n) or u.shape != (n, n):
-        raise ValueError("warm-start matrices must be n x n")
+    u = np.zeros((n, n))
+    if z.shape != (n, n):
+        raise ValueError("warm-start matrix must be n x n")
     rho = opts.rho
     t0 = time.perf_counter()
     history = np.empty(opts.max_iters)

@@ -230,10 +230,6 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def ensemble_to_json(ens: Ensemble) -> dict:
     return {
         "dim": ens.dim,
@@ -241,15 +237,6 @@ def ensemble_to_json(ens: Ensemble) -> dict:
         "states": [_matrix_to_json(rho) for rho in ens.states],
         "povms": [[_matrix_to_json(e) for e in povm] for povm in ens.povms],
     }
-
-
-def ensemble_from_json(obj: dict) -> Ensemble:
-    return Ensemble(
-        dim=int(obj["dim"]),
-        states=[_matrix_from_json(s) for s in obj["states"]],
-        povms=[[_matrix_from_json(e) for e in povm] for povm in obj["povms"]],
-        projective_nondegenerate=bool(obj["projective_nondegenerate"]),
-    )
 
 
 def table_to_json(table: DataTable) -> dict:
@@ -283,21 +270,6 @@ def table_to_csv(table: DataTable) -> str:
             for k in range(k_):
                 writer.writerow([w, v, k, repr(float(table.values[w, v * k_ + k]))])
     return buf.getvalue()
-
-
-def table_from_csv(text: str) -> tuple[np.ndarray, int, int, int]:
-    """Parse the long-format CSV back into (values, W, V, K)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["w", "v", "k", "f"]:
-        raise ValueError("missing 'w, v, k, f' header row")
-    entries = [(int(w), int(v), int(k), float(f)) for w, v, k, f in rows[1:]]
-    w_ = max(e[0] for e in entries) + 1
-    v_ = max(e[1] for e in entries) + 1
-    k_ = max(e[2] for e in entries) + 1
-    vals = np.zeros((w_, v_ * k_))
-    for w, v, k, f in entries:
-        vals[w, v * k_ + k] = f
-    return vals, w_, v_, k_
 
 
 def dump_json(obj: dict, path) -> None:

@@ -148,11 +148,15 @@ def check_envelope(
     return {"ok": True, "trials": trials}
 
 
+#: Largest matrix size the brute-force checks accept.
+MAX_BRUTEFORCE_N = 6
+
+
 def run_all_checks(n: int, trials: int, seed: int) -> dict:
     """Run every theory check with a shared seeded source; n bounds the
     brute-force matrix size."""
-    if n > 6:
-        raise ValueError(f"brute-force checks are limited to n <= 6, got {n}")
+    if n > MAX_BRUTEFORCE_N:
+        raise ValueError(f"brute-force checks are limited to n <= {MAX_BRUTEFORCE_N}, got {n}")
     rng = np.random.default_rng(seed)
     results = {
         "norm_bound": check_norm_bound(trials, rng),

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gramscope.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from gramscope.estimator import estimate, trial_config_from_json
 
 
 def write_json(path, obj):
@@ -81,6 +83,19 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(out), "--dump"]) == EXIT_OK
         for name in ("g_hat.json", "ground_truth.json", "table.json"):
             assert (out / name).exists()
+        assert json.loads((out / "table.json").read_text())["shots"] is None
+
+        # a finite-shot trial dumps the frequencies it solved, not the
+        # Born probabilities of the ground truth
+        shots_cfg = {**EST_CFG, "d": 2, "shots": 100, "solver": {"max_iters": 200}}
+        cfg = write_json(tmp_path / "shots.json", shots_cfg)
+        out = tmp_path / "shots"
+        assert main(["estimate", "--config", cfg, "--out", str(out), "--dump"]) == EXIT_OK
+        table = json.loads((out / "table.json").read_text())
+        assert table["shots"] == 100
+        est, _ = estimate(trial_config_from_json(shots_cfg))
+        assert np.array_equal(np.array(table["values"]), est.table.values)
+        assert np.array_equal(np.round(est.table.values * 100) / 100, est.table.values)
 
     def test_from_recorded_data(self, tmp_path):
         synth_cfg = write_json(tmp_path / "s.json", {**SYNTH_CFG, "n_states": 10, "n_measurements": 10})
@@ -99,6 +114,40 @@ class TestEstimate:
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {**EST_CFG, "bogus": 1})
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def _recorded(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--config", write_json(tmp_path / "s.json", SYNTH_CFG),
+                     "--out", str(data)]) == EXIT_OK
+        return data
+
+    def test_from_data_unknown_solver_key_is_config_error(self, tmp_path, capsys):
+        data = self._recorded(tmp_path)
+        cfg = write_json(
+            tmp_path / "e.json", {"d": 2, "data": str(data), "solver": {"max_iterz": 10}}
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "max_iterz" in capsys.readouterr().err
+
+    def test_from_data_invalid_table_is_config_error(self, tmp_path, capsys):
+        data = self._recorded(tmp_path)
+        table = json.loads((data / "table.json").read_text())
+        table["values"] = [[0.9] * 4 for _ in table["values"]]  # row sums 1.8
+        write_json(data / "table.json", table)
+        cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "do not sum to 1" in capsys.readouterr().err
+
+    def test_error_inside_solve_is_not_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug inside the solver")
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", broken)
+        trial = write_json(tmp_path / "cfg.json", EST_CFG)
+        recorded = write_json(tmp_path / "e.json", {"d": 2, "data": str(self._recorded(tmp_path))})
+        for cfg in (trial, recorded):
+            with pytest.raises(ValueError, match="bug inside the solver"):
+                main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 class TestBatch:

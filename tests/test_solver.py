@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gramscope.gram import (
-    Constraint,
     Knowledge,
     gram,
     knowledge_projective,
@@ -27,10 +26,7 @@ from gramscope.synth import born_table, sample_ensemble
 
 
 def exact_kn(n, entries):
-    return Knowledge(
-        n=n,
-        constraints=[Constraint(i=i, j=j, kind="exact", value=v) for i, j, v in entries],
-    )
+    return Knowledge(n=n, constraints=[(i, j, v, v) for i, j, v in entries])
 
 
 class TestProjectKnowledge:
@@ -41,22 +37,14 @@ class TestProjectKnowledge:
         assert out[2, 2] == 0.0
 
     def test_interval_clamping(self):
-        kn = Knowledge(
-            n=2, constraints=[Constraint(i=0, j=1, kind="interval", lo=-1.0, hi=1.0)]
-        )
+        kn = Knowledge(n=2, constraints=[(0, 1, -1.0, 1.0)])
         assert project_knowledge(np.full((2, 2), 5.0), kn)[0, 1] == 1.0
         assert project_knowledge(np.full((2, 2), -5.0), kn)[1, 0] == -1.0
         assert project_knowledge(np.full((2, 2), 0.3), kn)[0, 1] == 0.3
 
     def test_is_a_projection(self):
         rng = np.random.default_rng(0)
-        kn = Knowledge(
-            n=4,
-            constraints=[
-                Constraint(i=0, j=0, kind="exact", value=2.0),
-                Constraint(i=1, j=3, kind="interval", lo=0.0, hi=0.5),
-            ],
-        )
+        kn = Knowledge(n=4, constraints=[(0, 0, 2.0, 2.0), (1, 3, 0.0, 0.5)])
         m = rng.standard_normal((4, 4))
         m = 0.5 * (m + m.T)
         once = project_knowledge(m, kn)
@@ -65,13 +53,7 @@ class TestProjectKnowledge:
     def test_frobenius_nearest_sampling(self):
         # no feasible symmetric matrix beats the projection
         rng = np.random.default_rng(1)
-        kn = Knowledge(
-            n=3,
-            constraints=[
-                Constraint(i=0, j=2, kind="exact", value=1.0),
-                Constraint(i=1, j=1, kind="interval", lo=-0.2, hi=0.2),
-            ],
-        )
+        kn = Knowledge(n=3, constraints=[(0, 2, 1.0, 1.0), (1, 1, -0.2, 0.2)])
         m = rng.standard_normal((3, 3))
         m = 0.5 * (m + m.T)
         best = np.linalg.norm(project_knowledge(m, kn) - m)
@@ -99,17 +81,23 @@ class TestProxTracePlusKnowledge:
         out = prox_trace_plus_knowledge(m, kn, sigma=1.0)
         assert out[0, 1] == 0.7
 
+    def test_exact_pins_are_bit_exact(self):
+        # an exact pin is an interval with lo == hi; the clip must land on
+        # the value itself, on the diagonal (after the shift) and off it
+        a, b = 0.1 + 0.2, 1.0 / 3.0
+        kn = exact_kn(3, [(1, 1, a), (0, 2, b)])
+        m = np.random.default_rng(9).standard_normal((3, 3))
+        for sigma in (0.3, 1.0, 7.0):
+            out = prox_trace_plus_knowledge(m, kn, sigma)
+            assert out[1, 1] == a
+            assert out[0, 2] == b and out[2, 0] == b
+            assert out[0, 0] == m[0, 0] - 1.0 / sigma
+
     def test_is_the_argmin(self):
         # objective tr(X) + (sigma/2)||X - M||^2 over the knowledge set;
         # the prox must beat random feasible points
         rng = np.random.default_rng(2)
-        kn = Knowledge(
-            n=3,
-            constraints=[
-                Constraint(i=0, j=0, kind="interval", lo=0.0, hi=1.0),
-                Constraint(i=1, j=2, kind="exact", value=0.4),
-            ],
-        )
+        kn = Knowledge(n=3, constraints=[(0, 0, 0.0, 1.0), (1, 2, 0.4, 0.4)])
         sigma = 1.7
         m = rng.standard_normal((3, 3))
         m = 0.5 * (m + m.T)
@@ -167,13 +155,7 @@ class TestSolveTraceMin:
         assert np.max(np.abs(g_hat.values - np.ones((2, 2)))) < 1e-5
 
     def test_interval_constraint_respected(self):
-        kn = Knowledge(
-            n=2,
-            constraints=[
-                Constraint(i=0, j=1, kind="exact", value=2.0),
-                Constraint(i=0, j=0, kind="interval", lo=4.0, hi=9.0),
-            ],
-        )
+        kn = Knowledge(n=2, constraints=[(0, 1, 2.0, 2.0), (0, 0, 4.0, 9.0)])
         prob = SdpProblem(n=2, knowledge=kn, radius=20.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=40000))
         assert report.converged
