@@ -30,7 +30,6 @@ from .solver import (
     SolverReport,
     project_knowledge,
     prox_trace_plus_knowledge,
-    rank_conjugate,
     solve_trace_min,
 )
 from .synth import (
@@ -43,6 +42,7 @@ from .synth import (
     sample_projective_measurement,
     sample_pure_state,
 )
+from .theory import rank_conjugate
 
 __version__ = "0.1.0"
 

@@ -122,6 +122,9 @@ def cmd_synth(args) -> int:
 def _estimate_from_data(cfg: dict, out: Path) -> int:
     """Single solve + certify on a previously recorded table (no ground
     truth, no augmentation loop)."""
+    extra = set(cfg) - {"d", "data", "degeneracies", "epsilon", "tau", "solver"}
+    if extra:
+        raise ConfigError(f"unknown estimate-from-data config key(s): {sorted(extra)}")
     try:
         table = table_from_json(_load_json(str(Path(cfg["data"]) / "table.json")))
         validate_table(table)

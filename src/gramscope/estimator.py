@@ -279,6 +279,7 @@ class Metrics:
     success: bool
     rank_tail: float
     data_block_error: float
+    trace_true: float
 
     def to_json(self) -> dict:
         return {
@@ -287,6 +288,7 @@ class Metrics:
             "success": self.success,
             "rank_tail": self.rank_tail,
             "data_block_error": self.data_block_error,
+            "trace_true": self.trace_true,
         }
 
 
@@ -297,8 +299,8 @@ def evaluate(
     threshold: float = 1e-3,
 ) -> Metrics:
     """Entrywise and Frobenius error of the estimate against the true Gram
-    matrix, plus rank tail and data-block reproduction error. ``success``
-    is max-entry error below ``threshold``."""
+    matrix, plus rank tail, data-block reproduction error and the true
+    trace. ``success`` is max-entry error below ``threshold``."""
     basis = herm_basis(truth.dim) if basis is None else basis
     g_true = gram(realize(truth, basis))
     if g_true.n != est.g_hat.n:
@@ -313,6 +315,7 @@ def evaluate(
         success=max_err < threshold,
         rank_tail=rank_tail(est.g_hat.values, est.target_rank),
         data_block_error=float(np.max(np.abs(est.g_hat.data_block - g_true.data_block))),
+        trace_true=float(np.trace(g_true.values)),
     )
 
 

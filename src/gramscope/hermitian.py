@@ -115,10 +115,15 @@ def clip_spectrum(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
     This is the Frobenius-nearest matrix whose eigenvalues lie in [lo, hi];
     with lo=0 it is the projection onto the PSD cone intersected with the
-    operator-norm ball of radius hi.
+    operator-norm ball of radius hi. The input is symmetrized first.
     """
     if lo > hi:
         raise ValueError(f"empty spectral box: lo={lo} > hi={hi}")
-    w, u = sym_eig(m)
-    clipped = (u * np.clip(w, lo, hi)) @ u.T
-    return 0.5 * (clipped + clipped.T)
+    a = np.asarray(m, dtype=float)
+    a = a + a.T
+    a *= 0.5
+    w, u = np.linalg.eigh(a)
+    out = (u * w.clip(lo, hi)) @ u.T
+    out += out.T
+    out *= 0.5
+    return out

@@ -9,7 +9,9 @@ The problem
 is split over two sets: the entrywise knowledge set with the trace folded
 into its prox, and the spectral box handled by eigenvalue clipping. Both
 proxes are exact, so each iteration costs one dense symmetric
-eigendecomposition.
+eigendecomposition. The ADMM step is run as a fixed-point map and
+extrapolated by safeguarded Anderson acceleration, which cuts the number
+of iterations.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ import numpy as np
 
 from .gram import GramMatrix, Knowledge
 from .hermitian import clip_spectrum
+
+#: Steps the Anderson extrapolation combines.
+ANDERSON_MEMORY = 10
+#: Relative ridge on the diagonal of the Anderson normal equations.
+ANDERSON_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,7 @@ class SolverReport:
     objective: float
     converged: bool
     seconds: float
+    rejected_steps: int = 0
     objective_history: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
@@ -81,14 +89,39 @@ class SolverReport:
             "objective": self.objective,
             "converged": self.converged,
             "seconds": self.seconds,
+            "rejected_steps": self.rejected_steps,
         }
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm, without np.linalg.norm's per-call overhead."""
+    return float(np.sqrt(np.vdot(m, m)))
+
+
+def _vech_maps(n: int, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of the half-vectorization ("vech") of symmetric n x n
+    matrices: its upper triangle, row by row.
+
+    Returns ``upper``, the flat indices with ``vech = m.take(upper)``;
+    ``weight``, ``scale`` on diagonal and ``scale * sqrt(2)`` on
+    off-diagonal entries, so that dot products of ``vech * weight`` are
+    ``scale**2`` times Frobenius products; and ``full``, an n x n index
+    array with ``m = vech[full]``.
+    """
+    rows, cols = np.triu_indices(n)
+    full = np.empty((n, n), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    return rows * n + cols, np.where(rows == cols, scale, scale * np.sqrt(2.0)), full
 
 
 def _clip_pins(x: np.ndarray, kn: Knowledge) -> np.ndarray:
     """Clip the pinned entries of ``x`` into [lo, hi] in place, mirrored to
     (j, i). An exact pin (lo == hi) lands on its value exactly."""
     i, j, lo, hi = kn.arrays()
-    x[i, j] = x[j, i] = np.clip(x[i, j], lo, hi)
+    x[i, j] = x[j, i] = x[i, j].clip(lo, hi)
     return x
 
 
@@ -115,7 +148,7 @@ def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.
     if m.shape != (kn.n, kn.n):
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
     x = np.array(m, dtype=float, copy=True)
-    x[np.diag_indices(kn.n)] -= 1.0 / sigma
+    x.flat[:: kn.n + 1] -= 1.0 / sigma
     return _clip_pins(x, kn)
 
 
@@ -124,47 +157,102 @@ def solve_trace_min(
     opts: SolverOptions | None = None,
     warm_primal: np.ndarray | None = None,
 ) -> tuple[GramMatrix, SolverReport]:
-    """Run the two-block ADMM until both residuals fall below tolerance.
+    """Run the ADMM, Anderson-accelerated, until both residuals fall below
+    tolerance.
 
-    Returns the spectral-box iterate (exactly PSD with norm <= R) and a
-    report. ``warm_primal`` starts the spectral-box iterate (the dual starts
-    at zero). Non-convergence within ``max_iters`` is not an exception: the
-    last iterate is returned with ``converged=False``. Fixed inputs and
+    With v = x_relaxed + u, one ADMM step is the fixed-point map
+    F(v) = v + alpha * (x - z), where z = clip_spectrum(v), u = v - z and
+    x = prox(z - u). Each iteration evaluates F at one point, so an
+    iteration is exactly one eigendecomposition. The next point is the
+    type-II Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps;
+    when an extrapolated point has a larger primal residual than the point
+    before it, the solver takes the plain step F from that earlier point
+    instead and drops the history (``SolverReport.rejected_steps`` counts these). The
+    history is also dropped whenever rho changes.
+
+    The primal residual is r = ||x - z||_F at the evaluated point, so at
+    convergence every pinned entry of the returned z lies within
+    ``primal_tol`` of its interval. The dual residual is
+    s = rho * ||z - z_prev||_F between consecutively evaluated points.
+
+    Returns the spectral-box iterate z (exactly PSD with norm <= R) and a
+    report. ``warm_primal`` is the first point v (the dual starts at zero).
+    Non-convergence within ``max_iters`` is not an exception: the last
+    iterate is returned with ``converged=False``. Fixed inputs and
     iteration counts give bit-identical output.
     """
     opts = opts or SolverOptions()
     n = prob.n
     kn = prob.knowledge
     radius = prob.radius
-    z = np.zeros((n, n)) if warm_primal is None else np.array(warm_primal, dtype=float)
-    u = np.zeros((n, n))
-    if z.shape != (n, n):
+    alpha = opts.alpha
+    v = np.zeros((n, n)) if warm_primal is None else np.array(warm_primal, dtype=float)
+    if v.shape != (n, n):
         raise ValueError("warm-start matrix must be n x n")
+    # The Anderson history stores differences of F(v) as vech, and of the
+    # residual g(v) = F(v) - v as weighted vech, in float32: a difference
+    # loses only relative precision there.
+    upper, weight, full = _vech_maps(n, alpha)
+    df = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
+    dg = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
+    normal = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))  # dg dg^T plus the ridge
+    steps = 0  # differences stored since the history was last cleared
+    last = None  # (vech F(v), weighted vech g(v), r) at the last accepted point
+    extrapolated = False  # whether the next point v is an extrapolation
+    rejected = 0
     rho = opts.rho
     t0 = time.perf_counter()
     history = np.empty(opts.max_iters)
+    z = v  # z_prev of the first point
     r_norm = s_norm = np.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
-        x = prox_trace_plus_knowledge(z - u, kn, rho)
-        x_relaxed = opts.alpha * x + (1.0 - opts.alpha) * z
         z_prev = z
-        z = clip_spectrum(x_relaxed + u, 0.0, radius)
-        u = u + x_relaxed - z
-        r_norm = float(np.linalg.norm(x - z))
-        s_norm = float(rho * np.linalg.norm(z - z_prev))
-        history[it - 1] = float(np.trace(x))
+        z = clip_spectrum(v, 0.0, radius)
+        u = v - z
+        if opts.adaptive_rho and it > 1 and (it - 1) % opts.rho_update_every == 0:
+            # Boyd-style residual balancing on the last point's residuals;
+            # rescaling the dual keeps the iteration consistent. F changes
+            # with rho, so the history goes.
+            scale = 0.5 if r_norm > 10.0 * s_norm else 2.0 if s_norm > 10.0 * r_norm else 1.0
+            if scale != 1.0:
+                rho /= scale
+                u *= scale
+                v = z + u
+                last, steps, extrapolated = None, 0, False
+        x = prox_trace_plus_knowledge(z - u, kn, rho)
+        history[it - 1] = x.trace()
+        x -= z
+        r_norm = _norm(x)
+        s_norm = rho * _norm(z - z_prev)
         if r_norm <= opts.primal_tol and s_norm <= opts.dual_tol:
             break
-        if opts.adaptive_rho and it % opts.rho_update_every == 0:
-            # Boyd-style residual balancing; rescaled dual keeps the
-            # iteration consistent and the update rule deterministic.
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                u *= 0.5
-            elif s_norm > 10.0 * r_norm:
-                rho *= 0.5
-                u *= 2.0
+        if extrapolated and r_norm > last[2]:
+            # Safeguard: take the plain step from the last accepted point
+            # and start the history afresh from there.
+            rejected += 1
+            v = last[0][full]
+            last, steps, extrapolated = None, 0, False
+            continue
+        g = x.take(upper)
+        f = v.take(upper)
+        f += alpha * g
+        g *= weight
+        extrapolated = last is not None
+        if extrapolated:
+            slot = steps % ANDERSON_MEMORY
+            np.subtract(f, last[0], out=df[slot])
+            np.subtract(g, last[1], out=dg[slot])
+            steps += 1
+            k = min(steps, ANDERSON_MEMORY)
+            normal[slot, :k] = normal[:k, slot] = dg[:k] @ dg[slot]
+            # the floor keeps an all-zero difference from making it singular
+            normal[slot, slot] += ANDERSON_RIDGE * normal[slot, slot] + _TINY
+            gamma = np.linalg.solve(normal[:k, :k], dg[:k] @ g.astype(np.float32))
+            v = (f - gamma.astype(np.float32) @ df[:k])[full]
+        else:
+            v = f[full]
+        last = (f, g, r_norm)
     converged = r_norm <= opts.primal_tol and s_norm <= opts.dual_tol
     report = SolverReport(
         iterations=it,
@@ -173,6 +261,7 @@ def solve_trace_min(
         objective=float(np.trace(z)),
         converged=converged,
         seconds=time.perf_counter() - t0,
+        rejected_steps=rejected,
         objective_history=history[:it].copy(),
     )
     g_hat = GramMatrix(
@@ -181,15 +270,6 @@ def solve_trace_min(
         n_effects=n - kn.split if kn.split is not None else 0,
     )
     return g_hat, report
-
-
-def rank_conjugate(y: np.ndarray) -> float:
-    """Convex conjugate of the rank function on {X PSD, ||X|| <= 1},
-    evaluated at a symmetric Y: the sum of (lambda_j(Y) - 1) over
-    eigenvalues exceeding 1."""
-    y = np.asarray(y, dtype=float)
-    lam = np.linalg.eigvalsh(0.5 * (y + y.T))
-    return float(np.sum(np.maximum(lam - 1.0, 0.0)))
 
 
 def solver_options_from_json(obj: dict) -> SolverOptions:

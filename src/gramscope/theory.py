@@ -3,7 +3,8 @@
 Each check draws random instances and verifies a closed-form statement
 against an independent computation: the spectral bound on quantum Gram
 matrices, the POVM Hilbert-Schmidt norm budget, the rank-function
-conjugate, and the trace-vs-rank envelope inequality on the spectral box.
+conjugate (``rank_conjugate``, defined here), and the trace-vs-rank
+envelope inequality on the spectral box.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .gram import gram, numerical_rank, r_qm, realize
 from .hermitian import clip_spectrum, herm_basis
-from .solver import rank_conjugate
 from .synth import sample_ensemble, sample_projective_measurement
 
 
@@ -80,6 +80,15 @@ def check_povm_norm_budget(trials: int, rng: np.random.Generator, dims=(2, 3, 4)
                 return {"ok": False, "trial": t, "d": d, "budget": budget, "expected": d}
             equalities += 1
     return {"ok": True, "trials": trials, "equality_cases": equalities}
+
+
+def rank_conjugate(y: np.ndarray) -> float:
+    """Convex conjugate of the rank function on {X PSD, ||X|| <= 1},
+    evaluated at a symmetric Y: the sum of (lambda_j(Y) - 1) over
+    eigenvalues exceeding 1."""
+    y = np.asarray(y, dtype=float)
+    lam = np.linalg.eigvalsh(0.5 * (y + y.T))
+    return float(np.sum(np.maximum(lam - 1.0, 0.0)))
 
 
 def rank_conjugate_bruteforce(y: np.ndarray) -> float:

@@ -111,9 +111,14 @@ class TestEstimate:
         assert result["target_rank"] == 4
         assert (out / "g_hat.json").exists()
 
-    def test_unknown_key_is_config_error(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {**EST_CFG, "bogus": 1})
-        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt key must not fall back to a default, on either path
+        trial = {**EST_CFG, "bogus": 1}
+        recorded = {"d": 2, "data": str(self._recorded(tmp_path)), "epsilom": 0.05}
+        for obj, key in ((trial, "bogus"), (recorded, "epsilom")):
+            cfg = write_json(tmp_path / "cfg.json", obj)
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
 
     def _recorded(self, tmp_path):
         data = tmp_path / "data"

@@ -12,21 +12,28 @@ from gramscope.gram import (
     rank_certificate,
     realize,
 )
-from gramscope.hermitian import herm_basis
+from gramscope.hermitian import clip_spectrum, herm_basis
 from gramscope.solver import (
     SdpProblem,
     SolverOptions,
     project_knowledge,
     prox_trace_plus_knowledge,
-    rank_conjugate,
     solve_trace_min,
     solver_options_from_json,
 )
 from gramscope.synth import born_table, sample_ensemble
+from gramscope.theory import rank_conjugate
 
 
 def exact_kn(n, entries):
     return Knowledge(n=n, constraints=[(i, j, v, v) for i, j, v in entries])
+
+
+def d2_instance(w, v, seed):
+    """Completion problem of a random d=2 ensemble with exact Born data."""
+    ens = sample_ensemble(2, w, v, np.random.default_rng(seed))
+    kn = knowledge_projective(born_table(ens), 2)
+    return SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(w, v, 2))
 
 
 class TestProjectKnowledge:
@@ -211,6 +218,40 @@ class TestSolveTraceMin:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
         lam = np.linalg.eigvalsh(g_warm.values)
         assert lam.min() >= -1e-9
+
+    def test_iteration_is_one_eigendecomposition(self, monkeypatch):
+        # every evaluated point, a rejected extrapolation included, clips once
+        calls = []
+
+        def counting(m, lo, hi):
+            calls.append(m.shape[0])
+            return clip_spectrum(m, lo, hi)
+
+        monkeypatch.setattr("gramscope.solver.clip_spectrum", counting)
+        prob = d2_instance(5, 6, seed=10)
+        for max_iters in (3, 100_000):
+            calls.clear()
+            _, report = solve_trace_min(prob, SolverOptions(max_iters=max_iters))
+            assert len(calls) == report.iterations
+        assert report.converged and report.rejected_steps > 0
+        assert report.to_json()["rejected_steps"] == report.rejected_steps
+
+    def test_pins_hold_to_primal_tol(self):
+        prob = d2_instance(5, 6, seed=10)
+        opts = SolverOptions()
+        g_hat, report = solve_trace_min(prob, opts)
+        assert report.converged
+        i, j, lo, _ = prob.knowledge.arrays()
+        assert np.max(np.abs(g_hat.values[i, j] - lo)) <= opts.primal_tol
+        assert np.max(np.abs(g_hat.values[j, i] - lo)) <= opts.primal_tol
+
+    def test_acceleration_halves_iterations(self):
+        # plain ADMM (no extrapolation) took 1074 iterations on this
+        # instance; the accelerated loop must need at most half of that
+        plain_admm_iterations = 1074
+        _, report = solve_trace_min(d2_instance(5, 6, seed=10), SolverOptions())
+        assert report.converged
+        assert report.iterations <= plain_admm_iterations // 2
 
     def test_rejects_mismatched_knowledge(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from gramscope.solver import rank_conjugate
 from gramscope.theory import (
     check_envelope,
     check_norm_bound,
     check_povm_norm_budget,
     check_rank_conjugate,
     feasible_sample_pool,
+    rank_conjugate,
     rank_conjugate_bruteforce,
     run_all_checks,
 )
