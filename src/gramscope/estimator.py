@@ -41,15 +41,15 @@ from .synth import (
 class TrialConfig:
     """One synthetic estimation trial.
 
-    ``shots`` None means asymptotic (exact Born probabilities); a finite
-    value draws multinomial frequencies and ``epsilon`` widens the
-    data-block constraints into intervals.
+    Measurements are projective and non-degenerate, so each has K = d
+    outcomes. ``shots`` None means asymptotic (exact Born probabilities);
+    a finite value draws multinomial frequencies and ``epsilon`` widens
+    the data-block constraints into intervals.
     """
 
     d: int
     n_states: int
     n_measurements: int
-    n_outcomes: int | None = None  # defaults to d
     max_augmentations: int = 20
     tau: float = 1e-4
     failure_threshold: float = 1e-3
@@ -69,14 +69,11 @@ class TrialConfig:
             raise ValueError("epsilon must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when finite")
-        if self.k != self.d:
-            raise ValueError(
-                f"projective non-degenerate trials need K = d, got K={self.k}, d={self.d}"
-            )
 
     @property
     def k(self) -> int:
-        return self.d if self.n_outcomes is None else self.n_outcomes
+        """Outcomes per measurement, K = d."""
+        return self.d
 
 
 @dataclass
@@ -104,7 +101,6 @@ def trial_config_from_json(obj: dict) -> TrialConfig:
         "d",
         "n_states",
         "n_measurements",
-        "n_outcomes",
         "max_augmentations",
         "tau",
         "failure_threshold",

@@ -63,12 +63,15 @@ class Knowledge:
     ``constraints`` accepts any sequence of (i, j, lo, hi) rows and is
     stored as an array of dtype ``PIN``. ``split`` records the
     state/effect block boundary W when known, which lets interval
-    relaxation target the data block.
+    relaxation target the data block. ``flat_ij`` and ``flat_ji`` are the
+    flat indices of (i, j) and (j, i) in a C-ordered n x n matrix.
     """
 
     n: int
     constraints: np.ndarray = field(default_factory=lambda: np.empty(0, PIN))
     split: int | None = None
+    flat_ij: np.ndarray = field(init=False, repr=False, compare=False)
+    flat_ji: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pins = self.constraints
@@ -90,6 +93,8 @@ class Knowledge:
         seen[i, j] = True
         if np.count_nonzero(seen) < len(pins):
             raise ValueError("two pins share an entry (duplicate pin)")
+        object.__setattr__(self, "flat_ij", i * self.n + j)
+        object.__setattr__(self, "flat_ji", j * self.n + i)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Views (i, j, lo, hi) of the pin array."""

@@ -110,19 +110,115 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1], u[:, ::-1]
 
 
-def clip_spectrum(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
+#: The partial step is tried only while the warm basis has at most this
+#: fraction of n columns; beyond it a dense eigh is about as cheap.
+PARTIAL_FRACTION = 0.25
+#: Eigenvectors a full step keeps in the warm basis beyond those above lo.
+PARTIAL_BUFFER = 4
+#: Rayleigh-Ritz rounds a partial step may take before it gives up.
+PARTIAL_ROUNDS = 3
+
+
+@dataclass
+class WarmSpectrum:
+    """State one sequence of ``clip_spectrum`` calls carries between calls.
+
+    ``tol`` bounds the Frobenius error a partial step may make; the caller
+    sets it before each call. ``basis`` (orthonormal columns) is the
+    subspace the next partial step starts from; full steps and accepted
+    partial steps replace it. ``partial_steps`` counts the calls that
+    returned a certified partial projection.
+    """
+
+    tol: float = 0.0
+    basis: np.ndarray | None = None
+    partial_steps: int = 0
+
+
+def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | None:
+    """Projection of symmetric ``a`` onto {0 <= X <= hi*I} from a small Ritz
+    subspace, or None when its error is not certified below ``warm.tol``.
+
+    Rayleigh-Ritz on orth([Q, AQ - Q(Q^T A Q)]) gives Ritz pairs; keep
+    those with theta > 0 as (Q+, T+) and let R = A Q+ - Q+ T+. The matrix
+    A' = Q+ T+ Q+^T + PAP, with P = I - Q+ Q+^T, lies sqrt(2)||R||_F from
+    A. When PAP is negative definite on the complement of Q+ (Cholesky of
+    Q+ Q+^T - PAP succeeds), the projection of A' is Q+ clip(T+) Q+^T, so
+    by non-expansiveness its distance to the projection of A is at most
+    sqrt(2)||R||_F.
+    """
+    q = warm.basis
+    aq = a @ q
+    theta = q.T @ aq
+    for _ in range(PARTIAL_ROUNDS):
+        x = np.linalg.qr(np.hstack((q, aq - q @ theta)))[0]
+        ax = a @ x
+        w, s = np.linalg.eigh(x.T @ ax)
+        first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
+        keep = max(first - PARTIAL_BUFFER, 0)
+        q, aq, theta = x @ s[:, keep:], ax @ s[:, keep:], np.diag(w[keep:])
+        pos, tpos = q[:, first - keep :], w[first:]
+        res = aq[:, first - keep :] - pos * tpos
+        if np.sqrt(2.0 * np.vdot(res, res)) <= warm.tol:
+            break
+    else:
+        return None
+    # A Q+ = Q+ T+ + R with Q+^T R = 0 turns Q+ Q+^T - PAP into
+    # Q+ (I + T+) Q+^T + R Q+^T + Q+ R^T - A
+    comp = np.hstack((pos * (1.0 + tpos) + res, pos)) @ np.hstack((pos, res)).T
+    comp -= a
+    try:
+        np.linalg.cholesky(comp)
+    except np.linalg.LinAlgError:
+        return None
+    warm.basis = q
+    out = np.matmul(pos * tpos.clip(0.0, hi), pos.T, out=comp)
+    out += out.T
+    out *= 0.5
+    return out
+
+
+def clip_spectrum(
+    m: np.ndarray, lo: float, hi: float, warm: WarmSpectrum | None = None
+) -> np.ndarray:
     """Project a symmetric matrix onto the spectral box {lo*I <= X <= hi*I}.
 
     This is the Frobenius-nearest matrix whose eigenvalues lie in [lo, hi];
     with lo=0 it is the projection onto the PSD cone intersected with the
     operator-norm ball of radius hi. The input is symmetrized first.
+
+    With ``warm`` (which needs lo = 0) a sequence of calls on slowly
+    changing inputs may skip the dense eigendecomposition: while the warm
+    basis has at most ``PARTIAL_FRACTION * n`` columns, the projection is
+    first computed from that subspace and returned only when its
+    Frobenius error is certified below ``warm.tol``. Otherwise, and
+    without ``warm``, the result is the exact projection; that full step
+    also keeps the eigenvectors above lo, plus ``PARTIAL_BUFFER`` more, as
+    the next warm basis when they are few enough to be used.
     """
     if lo > hi:
         raise ValueError(f"empty spectral box: lo={lo} > hi={hi}")
+    if warm is not None and lo != 0.0:
+        raise ValueError(f"the warm partial step needs lo = 0, got lo={lo}")
     a = np.asarray(m, dtype=float)
     a = a + a.T
     a *= 0.5
+    n = a.shape[0]
+    basis = None if warm is None else warm.basis
+    if basis is not None and basis.shape[1] <= PARTIAL_FRACTION * n:
+        out = _partial_psd(a, hi, warm)
+        if out is not None:
+            warm.partial_steps += 1
+            return out
     w, u = np.linalg.eigh(a)
+    if warm is not None:
+        # Keep the eigenvectors above lo and PARTIAL_BUFFER more, but only
+        # if a partial step would take that basis: at most
+        # PARTIAL_FRACTION * n columns, so at most `most` eigenvalues above lo.
+        most = int(PARTIAL_FRACTION * n) - PARTIAL_BUFFER
+        warm.basis = None
+        if most >= 0 and w[n - 1 - most] <= lo:
+            warm.basis = u[:, max(int(w.searchsorted(lo, "right")) - PARTIAL_BUFFER, 0) :].copy()
     out = (u * w.clip(lo, hi)) @ u.T
     out += out.T
     out *= 0.5

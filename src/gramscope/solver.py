@@ -7,9 +7,10 @@ The problem
               0 <= G <= R * I   (spectral box),
 
 is split over two sets: the entrywise knowledge set with the trace folded
-into its prox, and the spectral box handled by eigenvalue clipping. Both
-proxes are exact, so each iteration costs one dense symmetric
-eigendecomposition. The ADMM step is run as a fixed-point map and
+into its prox, and the spectral box handled by eigenvalue clipping. Each
+iteration clips once: by a dense symmetric eigendecomposition, or by a
+partial one from a warm Ritz subspace whose error is certified small
+enough for inexact ADMM. The ADMM step is run as a fixed-point map and
 extrapolated by safeguarded Anderson acceleration, which cuts the number
 of iterations.
 """
@@ -22,12 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import GramMatrix, Knowledge
-from .hermitian import clip_spectrum
+from .hermitian import WarmSpectrum, clip_spectrum
 
 #: Steps the Anderson extrapolation combines.
 ANDERSON_MEMORY = 10
 #: Relative ridge on the diagonal of the Anderson normal equations.
 ANDERSON_RIDGE = 1e-8
+#: Error a partial spectral projection may make, as a fraction of the
+#: smaller residual min(r, s / rho) at the previous point.
+PARTIAL_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class SolverReport:
     converged: bool
     seconds: float
     rejected_steps: int = 0
+    partial_steps: int = 0
     objective_history: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
@@ -90,6 +95,7 @@ class SolverReport:
             "converged": self.converged,
             "seconds": self.seconds,
             "rejected_steps": self.rejected_steps,
+            "partial_steps": self.partial_steps,
         }
 
 
@@ -120,8 +126,10 @@ def _vech_maps(n: int, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _clip_pins(x: np.ndarray, kn: Knowledge) -> np.ndarray:
     """Clip the pinned entries of ``x`` into [lo, hi] in place, mirrored to
     (j, i). An exact pin (lo == hi) lands on its value exactly."""
-    i, j, lo, hi = kn.arrays()
-    x[i, j] = x[j, i] = x[i, j].clip(lo, hi)
+    pins = kn.constraints
+    vals = x.take(kn.flat_ij).clip(pins["lo"], pins["hi"])
+    x.put(kn.flat_ij, vals)
+    x.put(kn.flat_ji, vals)
     return x
 
 
@@ -163,7 +171,11 @@ def solve_trace_min(
     With v = x_relaxed + u, one ADMM step is the fixed-point map
     F(v) = v + alpha * (x - z), where z = clip_spectrum(v), u = v - z and
     x = prox(z - u). Each iteration evaluates F at one point, so an
-    iteration is exactly one eigendecomposition. The next point is the
+    iteration is exactly one ``clip_spectrum`` call: a full
+    eigendecomposition, or a certified partial one
+    (``SolverReport.partial_steps`` counts these) whose Frobenius error is
+    at most ``PARTIAL_TOL * min(r, s / rho)`` of the previous point, the
+    relative-error rule of inexact ADMM. The next point is the
     type-II Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps;
     when an extrapolated point has a larger primal residual than the point
     before it, the solver takes the plain step F from that earlier point
@@ -200,6 +212,7 @@ def solve_trace_min(
     last = None  # (vech F(v), weighted vech g(v), r) at the last accepted point
     extrapolated = False  # whether the next point v is an extrapolation
     rejected = 0
+    warm = WarmSpectrum()
     rho = opts.rho
     t0 = time.perf_counter()
     history = np.empty(opts.max_iters)
@@ -208,7 +221,8 @@ def solve_trace_min(
     it = 0
     for it in range(1, opts.max_iters + 1):
         z_prev = z
-        z = clip_spectrum(v, 0.0, radius)
+        warm.tol = PARTIAL_TOL * min(r_norm, s_norm / rho)
+        z = clip_spectrum(v, 0.0, radius, warm=warm)
         u = v - z
         if opts.adaptive_rho and it > 1 and (it - 1) % opts.rho_update_every == 0:
             # Boyd-style residual balancing on the last point's residuals;
@@ -262,6 +276,7 @@ def solve_trace_min(
         converged=converged,
         seconds=time.perf_counter() - t0,
         rejected_steps=rejected,
+        partial_steps=warm.partial_steps,
         objective_history=history[:it].copy(),
     )
     g_hat = GramMatrix(

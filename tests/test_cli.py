@@ -112,10 +112,12 @@ class TestEstimate:
         assert (out / "g_hat.json").exists()
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
-        # a misspelt key must not fall back to a default, on either path
+        # a misspelt key must not fall back to a default, on either path;
+        # trials measure with K = d outcomes, so n_outcomes is no trial key
         trial = {**EST_CFG, "bogus": 1}
+        outcomes = {**EST_CFG, "n_outcomes": 3}
         recorded = {"d": 2, "data": str(self._recorded(tmp_path)), "epsilom": 0.05}
-        for obj, key in ((trial, "bogus"), (recorded, "epsilom")):
+        for obj, key in ((trial, "bogus"), (outcomes, "n_outcomes"), (recorded, "epsilom")):
             cfg = write_json(tmp_path / "cfg.json", obj)
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert key in capsys.readouterr().err

@@ -61,8 +61,9 @@ class TestEstimateTrivial:
         assert m.max_entry_error < 1e-5
 
     def test_rejects_k_neq_d(self):
-        with pytest.raises(ValueError):
-            estimate(TrialConfig(d=2, n_states=2, n_measurements=2, n_outcomes=3))
+        # trials measure with K = d outcomes, so n_outcomes is no trial key
+        with pytest.raises(ValueError, match="n_outcomes"):
+            trial_config_from_json({"d": 2, "n_states": 2, "n_measurements": 2, "n_outcomes": 3})
 
 
 class TestEstimateEndToEnd:

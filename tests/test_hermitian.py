@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramscope.hermitian import clip_spectrum, herm_basis, sym_eig, vectorize
+from gramscope.hermitian import WarmSpectrum, clip_spectrum, herm_basis, sym_eig, vectorize
 
 
 def random_hermitian(d, rng):
@@ -155,3 +155,49 @@ class TestClipSpectrum:
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
             clip_spectrum(np.eye(2), 1.0, 0.0)
+
+
+def low_rank_spectrum(n, positive, rng):
+    """Symmetric matrix with the given positive eigenvalues, the rest in
+    [-3, -0.5], and its eigenvectors (columns, positive ones last)."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = np.concatenate((rng.uniform(-3.0, -0.5, n - len(positive)), positive))
+    return (u * w) @ u.T, u
+
+
+class TestClipSpectrumWarm:
+    RADIUS = 2.5
+
+    def test_partial_step_within_its_certificate(self):
+        # seed the basis with a full step, then clip a nearby matrix: the
+        # partial result may differ from the exact projection by at most
+        # sqrt(2)||R||_F <= tol, and must lie in the spectral box
+        rng = np.random.default_rng(11)
+        m, _ = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
+        warm = WarmSpectrum()
+        clip_spectrum(m, 0.0, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
+        e = rng.standard_normal((40, 40))
+        m2 = m + 1e-3 * (e + e.T)
+        warm.tol = 1e-3
+        out = clip_spectrum(m2, 0.0, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 1
+        assert np.linalg.norm(out - clip_spectrum(m2, 0.0, self.RADIUS)) <= warm.tol
+        assert np.array_equal(out, out.T)
+        lam = np.linalg.eigvalsh(out)
+        assert lam.min() >= -1e-12 and lam.max() <= self.RADIUS + 1e-12
+
+    def test_missed_positive_eigenvector_falls_back_to_full_step(self):
+        # a basis orthogonal to a positive eigenvector spans no Krylov
+        # direction towards it: the residual test passes, the Cholesky
+        # test of the complement must not, and the full step runs
+        rng = np.random.default_rng(12)
+        m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
+        warm = WarmSpectrum(tol=np.inf, basis=u[:, 30:39])
+        out = clip_spectrum(m, 0.0, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 0
+        assert np.array_equal(out, clip_spectrum(m, 0.0, self.RADIUS))
+
+    def test_warm_needs_lo_zero(self):
+        with pytest.raises(ValueError, match="lo = 0"):
+            clip_spectrum(np.eye(8), -1.0, 1.0, warm=WarmSpectrum())

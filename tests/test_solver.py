@@ -29,11 +29,11 @@ def exact_kn(n, entries):
     return Knowledge(n=n, constraints=[(i, j, v, v) for i, j, v in entries])
 
 
-def d2_instance(w, v, seed):
-    """Completion problem of a random d=2 ensemble with exact Born data."""
-    ens = sample_ensemble(2, w, v, np.random.default_rng(seed))
-    kn = knowledge_projective(born_table(ens), 2)
-    return SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(w, v, 2))
+def instance(d, w, v, seed):
+    """Completion problem of a random ensemble with exact Born data."""
+    ens = sample_ensemble(d, w, v, np.random.default_rng(seed))
+    kn = knowledge_projective(born_table(ens), d)
+    return SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(w, v, d))
 
 
 class TestProjectKnowledge:
@@ -223,12 +223,12 @@ class TestSolveTraceMin:
         # every evaluated point, a rejected extrapolation included, clips once
         calls = []
 
-        def counting(m, lo, hi):
+        def counting(m, lo, hi, **kwargs):
             calls.append(m.shape[0])
-            return clip_spectrum(m, lo, hi)
+            return clip_spectrum(m, lo, hi, **kwargs)
 
         monkeypatch.setattr("gramscope.solver.clip_spectrum", counting)
-        prob = d2_instance(5, 6, seed=10)
+        prob = instance(2, 5, 6, seed=10)
         for max_iters in (3, 100_000):
             calls.clear()
             _, report = solve_trace_min(prob, SolverOptions(max_iters=max_iters))
@@ -237,7 +237,7 @@ class TestSolveTraceMin:
         assert report.to_json()["rejected_steps"] == report.rejected_steps
 
     def test_pins_hold_to_primal_tol(self):
-        prob = d2_instance(5, 6, seed=10)
+        prob = instance(2, 5, 6, seed=10)
         opts = SolverOptions()
         g_hat, report = solve_trace_min(prob, opts)
         assert report.converged
@@ -245,11 +245,27 @@ class TestSolveTraceMin:
         assert np.max(np.abs(g_hat.values[i, j] - lo)) <= opts.primal_tol
         assert np.max(np.abs(g_hat.values[j, i] - lo)) <= opts.primal_tol
 
+    def test_partial_steps_reach_the_full_step_optimum(self, monkeypatch):
+        # at d=3 (30,50), n=180, the iterate has rank about 9 and most
+        # projections are certified partial ones; they must not move the
+        # optimum or loosen the pins
+        prob = instance(3, 30, 50, seed=1)
+        opts = SolverOptions(primal_tol=1e-7, dual_tol=1e-7)
+        g_hat, report = solve_trace_min(prob, opts)
+        assert report.converged and report.partial_steps > 0
+        assert report.to_json()["partial_steps"] == report.partial_steps
+        i, j, lo, _ = prob.knowledge.arrays()
+        assert np.max(np.abs(g_hat.values[i, j] - lo)) <= opts.primal_tol
+        monkeypatch.setattr("gramscope.hermitian.PARTIAL_FRACTION", 0.0)
+        _, full = solve_trace_min(prob, opts)
+        assert full.converged and full.partial_steps == 0
+        assert report.objective == pytest.approx(full.objective, abs=1e-6)
+
     def test_acceleration_halves_iterations(self):
         # plain ADMM (no extrapolation) took 1074 iterations on this
         # instance; the accelerated loop must need at most half of that
         plain_admm_iterations = 1074
-        _, report = solve_trace_min(d2_instance(5, 6, seed=10), SolverOptions())
+        _, report = solve_trace_min(instance(2, 5, 6, seed=10), SolverOptions())
         assert report.converged
         assert report.iterations <= plain_admm_iterations // 2
 
