@@ -23,7 +23,7 @@ from .gram import (
     rank_certificate,
     realize,
 )
-from .hermitian import HermBasis, clip_spectrum, herm_basis, sym_eig, vectorize
+from .hermitian import HermBasis, clip_spectrum, herm_basis, vectorize
 from .solver import (
     SdpProblem,
     SolverOptions,
@@ -83,6 +83,5 @@ __all__ = [
     "sample_pure_state",
     "solve_table",
     "solve_trace_min",
-    "sym_eig",
     "vectorize",
 ]

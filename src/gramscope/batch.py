@@ -36,14 +36,17 @@ class BatchSpec:
 
 
 def batch_spec_from_json(obj: dict) -> BatchSpec:
+    """Build a batch spec from a JSON dict; unknown keys are rejected."""
     obj = dict(obj)
-    templates = [trial_config_from_json(t) for t in obj.pop("templates")]
-    return BatchSpec(
-        templates=templates,
+    spec = BatchSpec(
+        templates=[trial_config_from_json(t) for t in obj.pop("templates")],
         trials_per_template=int(obj.pop("trials_per_template")),
         master_seed=int(obj.pop("master_seed", 0)),
         jobs=int(obj.pop("jobs", 1)),
     )
+    if obj:
+        raise ValueError(f"unknown batch spec key(s): {sorted(obj)}")
+    return spec
 
 
 def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:

@@ -65,17 +65,10 @@ def _load_json(path: str) -> dict:
 
 
 def _apply_overrides(cfg: dict, args, keys) -> dict:
-    mapping = {
-        "seed": "seed",
-        "shots": "shots",
-        "epsilon": "epsilon",
-        "tau": "tau",
-        "jobs": "jobs",
-    }
     cfg = dict(cfg)
-    for flag, key in mapping.items():
-        if flag in keys and getattr(args, flag.replace("-", "_"), None) is not None:
-            cfg[key] = getattr(args, flag.replace("-", "_"))
+    for key in ("seed", "shots", "epsilon", "tau", "jobs"):
+        if key in keys and getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if "max-iters" in keys or "tol" in keys:
         solver = dict(cfg.get("solver", {}))
         if getattr(args, "max_iters", None) is not None:
@@ -90,6 +83,12 @@ def _apply_overrides(cfg: dict, args, keys) -> dict:
 
 def cmd_synth(args) -> int:
     cfg = _apply_overrides(_load_json(args.config), args, {"seed", "shots"})
+    extra = set(cfg) - {
+        "d", "n_states", "n_measurements", "n_outcomes",
+        "shots", "seed", "degeneracies", "mixed_states",
+    }
+    if extra:
+        raise ConfigError(f"unknown synth config key(s): {sorted(extra)}")
     try:
         d = int(cfg["d"])
         w = int(cfg["n_states"])

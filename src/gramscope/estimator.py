@@ -10,7 +10,7 @@ is re-solved from a padded warm start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .gram import (
     rank_tail,
     realize,
 )
-from .hermitian import HermBasis, herm_basis, sym_eig
+from .hermitian import HermBasis, herm_basis
 from .solver import SdpProblem, SolverOptions, SolverReport, solve_trace_min
 from .synth import (
     DataTable,
@@ -70,11 +70,6 @@ class TrialConfig:
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when finite")
 
-    @property
-    def k(self) -> int:
-        """Outcomes per measurement, K = d."""
-        return self.d
-
 
 @dataclass
 class GramEstimate:
@@ -96,22 +91,7 @@ def trial_config_from_json(obj: dict) -> TrialConfig:
 
     obj = dict(obj)
     solver = obj.pop("solver", None)
-    kwargs = {}
-    for key in (
-        "d",
-        "n_states",
-        "n_measurements",
-        "max_augmentations",
-        "tau",
-        "failure_threshold",
-        "epsilon",
-        "shots",
-        "seed",
-        "state_first",
-        "mixed_states",
-    ):
-        if key in obj:
-            kwargs[key] = obj.pop(key)
+    kwargs = {f.name: obj.pop(f.name) for f in fields(TrialConfig) if f.name in obj}
     if obj:
         raise ValueError(f"unknown trial config key(s): {sorted(obj)}")
     if solver is not None:
@@ -195,7 +175,7 @@ def solve_table(
     """
     kn = knowledge_projective(table, d, degeneracies)
     if epsilon:
-        kn = knowledge_relax(kn, epsilon, scope="data")
+        kn = knowledge_relax(kn, epsilon)
     target_rank = numerical_rank(table.values)
     prob = SdpProblem(
         n=kn.n,
@@ -321,11 +301,11 @@ def factor(g_hat: GramMatrix, rank: int) -> np.ndarray:
     left orthogonal transformation."""
     if not 1 <= rank <= g_hat.n:
         raise ValueError(f"rank must be in [1, {g_hat.n}], got {rank}")
-    lam, u = sym_eig(g_hat.values)
-    top = lam[:rank]
+    lam, u = np.linalg.eigh(g_hat.values)  # ascending: the top r pairs are last
+    top = lam[-rank:][::-1]
     if top.min() < -1e-8:
         raise ValueError(f"estimate is not PSD enough to factor (lambda={top.min():.3e})")
-    return np.sqrt(np.clip(top, 0.0, None))[:, None] * u[:, :rank].T
+    return np.sqrt(np.clip(top, 0.0, None))[:, None] * u[:, -rank:][:, ::-1].T
 
 
 def gauge_distance(p_a: np.ndarray, p_b: np.ndarray) -> float:

@@ -196,24 +196,19 @@ def knowledge_projective(
     return Knowledge(n=w_ + v_ * k_, constraints=pins, split=w_)
 
 
-def knowledge_relax(kn: Knowledge, eps: float, scope: str = "data") -> Knowledge:
-    """Widen exact pins (lo == hi) into intervals [value - eps, value + eps].
-
-    ``scope`` is "data" (data-block entries only; needs ``kn.split``) or
-    "all". eps = 0 returns the knowledge unchanged.
+def knowledge_relax(kn: Knowledge, eps: float) -> Knowledge:
+    """Widen the exact data-block pins (lo == hi) into intervals
+    [value - eps, value + eps]; needs ``kn.split``. eps = 0 returns the
+    knowledge unchanged.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    if scope not in ("data", "all"):
-        raise ValueError(f"scope must be 'data' or 'all', got {scope!r}")
     if eps == 0:
         return kn
-    if scope == "data" and kn.split is None:
+    if kn.split is None:
         raise ValueError("data-block relaxation needs a knowledge object with a block split")
     pins = kn.constraints.copy()
-    widen = pins["lo"] == pins["hi"]
-    if scope == "data":
-        widen &= (pins["i"] < kn.split) & (kn.split <= pins["j"])
+    widen = (pins["lo"] == pins["hi"]) & (pins["i"] < kn.split) & (kn.split <= pins["j"])
     pins["lo"][widen] -= eps
     pins["hi"][widen] += eps
     return replace(kn, constraints=pins)

@@ -93,27 +93,10 @@ def vectorize(h: np.ndarray, basis: HermBasis) -> np.ndarray:
     return np.einsum("aij,ij->a", basis.elements.conj(), h).real
 
 
-def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix, eigenvalues descending.
-
-    The input is symmetrized as (M + M^T)/2 first; splitting iterations
-    accumulate asymmetry at machine-epsilon scale.
-
-    Returns:
-        (eigenvalues, eigenvectors) with ``m = U @ diag(w) @ U.T`` and
-        ``U[:, i]`` the eigenvector for ``w[i]``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    w, u = np.linalg.eigh(0.5 * (m + m.T))
-    return w[::-1], u[:, ::-1]
-
-
 #: The partial step is tried only while the warm basis has at most this
 #: fraction of n columns; beyond it a dense eigh is about as cheap.
 PARTIAL_FRACTION = 0.25
-#: Eigenvectors a full step keeps in the warm basis beyond those above lo.
+#: Eigenvectors a full step keeps in the warm basis beyond the positive ones.
 PARTIAL_BUFFER = 4
 #: Rayleigh-Ritz rounds a partial step may take before it gives up.
 PARTIAL_ROUNDS = 3
@@ -178,28 +161,24 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     return out
 
 
-def clip_spectrum(
-    m: np.ndarray, lo: float, hi: float, warm: WarmSpectrum | None = None
-) -> np.ndarray:
-    """Project a symmetric matrix onto the spectral box {lo*I <= X <= hi*I}.
+def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) -> np.ndarray:
+    """Project a symmetric matrix onto the spectral box {0 <= X <= hi*I}.
 
-    This is the Frobenius-nearest matrix whose eigenvalues lie in [lo, hi];
-    with lo=0 it is the projection onto the PSD cone intersected with the
-    operator-norm ball of radius hi. The input is symmetrized first.
+    This is the Frobenius-nearest matrix whose eigenvalues lie in [0, hi]:
+    the projection onto the PSD cone intersected with the operator-norm
+    ball of radius hi. The input is symmetrized first.
 
-    With ``warm`` (which needs lo = 0) a sequence of calls on slowly
-    changing inputs may skip the dense eigendecomposition: while the warm
-    basis has at most ``PARTIAL_FRACTION * n`` columns, the projection is
-    first computed from that subspace and returned only when its
-    Frobenius error is certified below ``warm.tol``. Otherwise, and
-    without ``warm``, the result is the exact projection; that full step
-    also keeps the eigenvectors above lo, plus ``PARTIAL_BUFFER`` more, as
-    the next warm basis when they are few enough to be used.
+    With ``warm`` a sequence of calls on slowly changing inputs may skip
+    the dense eigendecomposition: while the warm basis has at most
+    ``PARTIAL_FRACTION * n`` columns, the projection is first computed
+    from that subspace and returned only when its Frobenius error is
+    certified below ``warm.tol``. Otherwise, and without ``warm``, the
+    result is the exact projection; that full step also keeps the
+    eigenvectors above 0, plus ``PARTIAL_BUFFER`` more, as the next warm
+    basis when they are few enough to be used.
     """
-    if lo > hi:
-        raise ValueError(f"empty spectral box: lo={lo} > hi={hi}")
-    if warm is not None and lo != 0.0:
-        raise ValueError(f"the warm partial step needs lo = 0, got lo={lo}")
+    if hi < 0:
+        raise ValueError(f"empty spectral box: hi={hi} < 0")
     a = np.asarray(m, dtype=float)
     a = a + a.T
     a *= 0.5
@@ -212,14 +191,14 @@ def clip_spectrum(
             return out
     w, u = np.linalg.eigh(a)
     if warm is not None:
-        # Keep the eigenvectors above lo and PARTIAL_BUFFER more, but only
+        # Keep the eigenvectors above 0 and PARTIAL_BUFFER more, but only
         # if a partial step would take that basis: at most
-        # PARTIAL_FRACTION * n columns, so at most `most` eigenvalues above lo.
+        # PARTIAL_FRACTION * n columns, so at most `most` positive eigenvalues.
         most = int(PARTIAL_FRACTION * n) - PARTIAL_BUFFER
         warm.basis = None
-        if most >= 0 and w[n - 1 - most] <= lo:
-            warm.basis = u[:, max(int(w.searchsorted(lo, "right")) - PARTIAL_BUFFER, 0) :].copy()
-    out = (u * w.clip(lo, hi)) @ u.T
+        if most >= 0 and w[n - 1 - most] <= 0.0:
+            warm.basis = u[:, max(int(w.searchsorted(0.0, "right")) - PARTIAL_BUFFER, 0) :].copy()
+    out = (u * w.clip(0.0, hi)) @ u.T
     out += out.T
     out *= 0.5
     return out

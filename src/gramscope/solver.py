@@ -18,13 +18,21 @@ of iterations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .gram import GramMatrix, Knowledge
 from .hermitian import WarmSpectrum, clip_spectrum
 
+#: Initial ADMM penalty rho.
+RHO = 1.0
+#: Over-relaxation factor alpha of the ADMM step, in [1, 2).
+ALPHA = 1.6
+#: Iterations between two residual-balancing updates of rho (Boyd et al.
+#: 2011, "Distributed optimization and statistical learning via ADMM",
+#: section 3.4.1).
+RHO_UPDATE_EVERY = 100
 #: Steps the Anderson extrapolation combines.
 ANDERSON_MEMORY = 10
 #: Relative ridge on the diagonal of the Anderson normal equations.
@@ -53,23 +61,19 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """ADMM controls. Tolerances are absolute Frobenius-norm residuals."""
+    """ADMM iteration cap and stopping tolerances. Tolerances are absolute
+    Frobenius-norm residuals; the step itself is fixed by ``RHO``,
+    ``ALPHA`` and ``RHO_UPDATE_EVERY``."""
 
     max_iters: int = 200_000
-    rho: float = 1.0
-    alpha: float = 1.6
     primal_tol: float = 1e-8
     dual_tol: float = 1e-8
-    adaptive_rho: bool = True
-    rho_update_every: int = 100
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rho <= 0 or self.primal_tol <= 0 or self.dual_tol <= 0:
-            raise ValueError("rho and tolerances must be > 0")
-        if not 1.0 <= self.alpha < 2.0:
-            raise ValueError(f"over-relaxation alpha must be in [1, 2), got {self.alpha}")
+        if self.primal_tol <= 0 or self.dual_tol <= 0:
+            raise ValueError("tolerances must be > 0")
 
 
 @dataclass
@@ -169,7 +173,7 @@ def solve_trace_min(
     tolerance.
 
     With v = x_relaxed + u, one ADMM step is the fixed-point map
-    F(v) = v + alpha * (x - z), where z = clip_spectrum(v), u = v - z and
+    F(v) = v + ALPHA * (x - z), where z = clip_spectrum(v), u = v - z and
     x = prox(z - u). Each iteration evaluates F at one point, so an
     iteration is exactly one ``clip_spectrum`` call: a full
     eigendecomposition, or a certified partial one
@@ -179,8 +183,10 @@ def solve_trace_min(
     type-II Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps;
     when an extrapolated point has a larger primal residual than the point
     before it, the solver takes the plain step F from that earlier point
-    instead and drops the history (``SolverReport.rejected_steps`` counts these). The
-    history is also dropped whenever rho changes.
+    instead and drops the history (``SolverReport.rejected_steps`` counts these).
+    Every ``RHO_UPDATE_EVERY`` iterations rho, which starts at ``RHO``, is
+    balanced against the residuals, and the history is dropped whenever
+    rho changes.
 
     The primal residual is r = ||x - z||_F at the evaluated point, so at
     convergence every pinned entry of the returned z lies within
@@ -197,14 +203,13 @@ def solve_trace_min(
     n = prob.n
     kn = prob.knowledge
     radius = prob.radius
-    alpha = opts.alpha
     v = np.zeros((n, n)) if warm_primal is None else np.array(warm_primal, dtype=float)
     if v.shape != (n, n):
         raise ValueError("warm-start matrix must be n x n")
     # The Anderson history stores differences of F(v) as vech, and of the
     # residual g(v) = F(v) - v as weighted vech, in float32: a difference
     # loses only relative precision there.
-    upper, weight, full = _vech_maps(n, alpha)
+    upper, weight, full = _vech_maps(n, ALPHA)
     df = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
     dg = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
     normal = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))  # dg dg^T plus the ridge
@@ -213,7 +218,7 @@ def solve_trace_min(
     extrapolated = False  # whether the next point v is an extrapolation
     rejected = 0
     warm = WarmSpectrum()
-    rho = opts.rho
+    rho = RHO
     t0 = time.perf_counter()
     history = np.empty(opts.max_iters)
     z = v  # z_prev of the first point
@@ -222,9 +227,9 @@ def solve_trace_min(
     for it in range(1, opts.max_iters + 1):
         z_prev = z
         warm.tol = PARTIAL_TOL * min(r_norm, s_norm / rho)
-        z = clip_spectrum(v, 0.0, radius, warm=warm)
+        z = clip_spectrum(v, radius, warm=warm)
         u = v - z
-        if opts.adaptive_rho and it > 1 and (it - 1) % opts.rho_update_every == 0:
+        if it > 1 and (it - 1) % RHO_UPDATE_EVERY == 0:
             # Boyd-style residual balancing on the last point's residuals;
             # rescaling the dual keeps the iteration consistent. F changes
             # with rho, so the history goes.
@@ -250,7 +255,7 @@ def solve_trace_min(
             continue
         g = x.take(upper)
         f = v.take(upper)
-        f += alpha * g
+        f += ALPHA * g
         g *= weight
         extrapolated = last is not None
         if extrapolated:
@@ -289,16 +294,7 @@ def solve_trace_min(
 
 def solver_options_from_json(obj: dict) -> SolverOptions:
     """Build options from a JSON config dict; unknown keys are rejected."""
-    known = {
-        "max_iters",
-        "rho",
-        "alpha",
-        "primal_tol",
-        "dual_tol",
-        "adaptive_rho",
-        "rho_update_every",
-    }
-    extra = set(obj) - known
+    extra = set(obj) - {f.name for f in fields(SolverOptions)}
     if extra:
         raise ValueError(f"unknown solver option(s): {sorted(extra)}")
     return SolverOptions(**obj)

@@ -150,7 +150,7 @@ def check_envelope(
     """tr(X) <= R * rank(X) for X clipped into the spectral box [0, R]."""
     for t in range(trials):
         m = rng.standard_normal((n, n)) * rng.uniform(0.5, 2.0 * radius)
-        x = clip_spectrum(0.5 * (m + m.T), 0.0, radius)
+        x = clip_spectrum(0.5 * (m + m.T), radius)
         tr = float(np.trace(x))
         if tr > radius * numerical_rank(x) + 1e-9:
             return {"ok": False, "trial": t, "trace": tr, "rank": numerical_rank(x)}

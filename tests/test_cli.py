@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gramscope.batch import batch_spec_from_json
 from gramscope.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from gramscope.estimator import estimate, trial_config_from_json
 
@@ -56,6 +57,13 @@ class TestSynth:
     def test_k_mismatch_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "n_outcomes": 3})
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt mixed_states must not fall back to pure states
+        cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "mixed_state": True})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "mixed_state" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -113,11 +121,18 @@ class TestEstimate:
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt key must not fall back to a default, on either path;
-        # trials measure with K = d outcomes, so n_outcomes is no trial key
+        # trials measure with K = d outcomes, so n_outcomes is no trial key,
+        # and the ADMM's over-relaxation is fixed, so alpha is no solver key
         trial = {**EST_CFG, "bogus": 1}
         outcomes = {**EST_CFG, "n_outcomes": 3}
+        alpha = {**EST_CFG, "solver": {"alpha": 1.5}}
         recorded = {"d": 2, "data": str(self._recorded(tmp_path)), "epsilom": 0.05}
-        for obj, key in ((trial, "bogus"), (outcomes, "n_outcomes"), (recorded, "epsilom")):
+        for obj, key in (
+            (trial, "bogus"),
+            (outcomes, "n_outcomes"),
+            (alpha, "alpha"),
+            (recorded, "epsilom"),
+        ):
             cfg = write_json(tmp_path / "cfg.json", obj)
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
@@ -196,6 +211,15 @@ class TestBatch:
     def test_bad_spec_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"templates": []})
         assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt "jobs" must not run the batch serially and succeed
+        with pytest.raises(ValueError, match="job"):
+            batch_spec_from_json({**self.BATCH_CFG, "job": 4})
+        cfg = write_json(tmp_path / "cfg.json", {**self.BATCH_CFG, "job": 4})
+        assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "job" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCheckTheory:

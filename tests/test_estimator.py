@@ -21,7 +21,6 @@ from gramscope.synth import sample_ensemble
 class TestTrialConfig:
     def test_defaults(self):
         cfg = TrialConfig(d=2, n_states=5, n_measurements=5)
-        assert cfg.k == 2
         assert cfg.max_augmentations == 20
         assert cfg.tau == 1e-4
         assert cfg.shots is None

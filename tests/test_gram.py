@@ -139,7 +139,7 @@ class TestKnowledgeRelax:
 
     def test_data_scope_widens_only_data_block(self):
         kn = self._kn()
-        out = knowledge_relax(kn, 0.01, scope="data")
+        out = knowledge_relax(kn, 0.01)
         for c, c0 in zip(out.constraints, kn.constraints):
             assert (c["i"], c["j"]) == (c0["i"], c0["j"])
             if c0["i"] < kn.split <= c0["j"]:
@@ -147,10 +147,6 @@ class TestKnowledgeRelax:
                 assert c["hi"] == pytest.approx(c0["hi"] + 0.01)
             else:
                 assert c["lo"] == c["hi"] == c0["lo"]
-
-    def test_all_scope_widens_everything(self):
-        out = knowledge_relax(self._kn(), 0.1, scope="all")
-        assert np.allclose(out.constraints["hi"] - out.constraints["lo"], 0.2)
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramscope.hermitian import WarmSpectrum, clip_spectrum, herm_basis, sym_eig, vectorize
+from gramscope.hermitian import WarmSpectrum, clip_spectrum, herm_basis, vectorize
 
 
 def random_hermitian(d, rng):
@@ -89,39 +89,16 @@ class TestVectorize:
             vectorize(np.eye(3), herm_basis(2))
 
 
-class TestSymEig:
-    def test_diagonal(self):
-        w, _ = sym_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-
-    def test_identity(self):
-        w, u = sym_eig(np.eye(5))
-        assert np.allclose(w, 1.0)
-        assert np.max(np.abs(u.T @ u - np.eye(5))) < 1e-9
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((10, 10))
-        m = 0.5 * (m + m.T)
-        w, u = sym_eig(m)
-        assert np.max(np.abs((u * w) @ u.T - m)) < 1e-9 * np.linalg.norm(m)
-        assert np.all(np.diff(w) <= 1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.zeros((2, 3)))
-
-
 class TestClipSpectrum:
     def test_psd_in_box_unchanged(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5))
         m = a @ a.T
         m *= 0.9 / np.linalg.norm(m, 2)
-        assert np.max(np.abs(clip_spectrum(m, 0.0, 1.0) - m)) < 1e-10
+        assert np.max(np.abs(clip_spectrum(m, 1.0) - m)) < 1e-10
 
     def test_diagonal_clipping(self):
-        out = clip_spectrum(np.diag([-1.0, 2.0]), 0.0, 1.0)
+        out = clip_spectrum(np.diag([-1.0, 2.0]), 1.0)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_eigenvalues_land_in_box(self):
@@ -129,7 +106,7 @@ class TestClipSpectrum:
         radius = 3.0
         for _ in range(20):
             m = rng.standard_normal((8, 8))
-            out = clip_spectrum(0.5 * (m + m.T), 0.0, radius)
+            out = clip_spectrum(0.5 * (m + m.T), radius)
             lam = np.linalg.eigvalsh(out)
             assert lam.min() >= -1e-10
             assert lam.max() <= radius + 1e-10
@@ -137,24 +114,24 @@ class TestClipSpectrum:
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((7, 7))
-        once = clip_spectrum(m, -0.5, 0.5)
-        assert np.max(np.abs(clip_spectrum(once, -0.5, 0.5) - once)) < 1e-9
+        once = clip_spectrum(m, 0.5)
+        assert np.max(np.abs(clip_spectrum(once, 0.5) - once)) < 1e-9
 
     def test_frobenius_nearest(self):
         # among random matrices in the box, none is closer than the projection
         rng = np.random.default_rng(9)
         m = rng.standard_normal((5, 5))
         m = 0.5 * (m + m.T) * 3.0
-        proj = clip_spectrum(m, 0.0, 1.0)
+        proj = clip_spectrum(m, 1.0)
         best = np.linalg.norm(proj - m)
         for _ in range(200):
             cand = rng.standard_normal((5, 5))
-            cand = clip_spectrum(0.5 * (cand + cand.T), 0.0, 1.0)
+            cand = clip_spectrum(0.5 * (cand + cand.T), 1.0)
             assert np.linalg.norm(cand - m) >= best - 1e-9
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
-            clip_spectrum(np.eye(2), 1.0, 0.0)
+            clip_spectrum(np.eye(2), -1.0)
 
 
 def low_rank_spectrum(n, positive, rng):
@@ -175,14 +152,14 @@ class TestClipSpectrumWarm:
         rng = np.random.default_rng(11)
         m, _ = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
         warm = WarmSpectrum()
-        clip_spectrum(m, 0.0, self.RADIUS, warm=warm)
+        clip_spectrum(m, self.RADIUS, warm=warm)
         assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
         e = rng.standard_normal((40, 40))
         m2 = m + 1e-3 * (e + e.T)
         warm.tol = 1e-3
-        out = clip_spectrum(m2, 0.0, self.RADIUS, warm=warm)
+        out = clip_spectrum(m2, self.RADIUS, warm=warm)
         assert warm.partial_steps == 1
-        assert np.linalg.norm(out - clip_spectrum(m2, 0.0, self.RADIUS)) <= warm.tol
+        assert np.linalg.norm(out - clip_spectrum(m2, self.RADIUS)) <= warm.tol
         assert np.array_equal(out, out.T)
         lam = np.linalg.eigvalsh(out)
         assert lam.min() >= -1e-12 and lam.max() <= self.RADIUS + 1e-12
@@ -194,10 +171,6 @@ class TestClipSpectrumWarm:
         rng = np.random.default_rng(12)
         m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
         warm = WarmSpectrum(tol=np.inf, basis=u[:, 30:39])
-        out = clip_spectrum(m, 0.0, self.RADIUS, warm=warm)
+        out = clip_spectrum(m, self.RADIUS, warm=warm)
         assert warm.partial_steps == 0
-        assert np.array_equal(out, clip_spectrum(m, 0.0, self.RADIUS))
-
-    def test_warm_needs_lo_zero(self):
-        with pytest.raises(ValueError, match="lo = 0"):
-            clip_spectrum(np.eye(8), -1.0, 1.0, warm=WarmSpectrum())
+        assert np.array_equal(out, clip_spectrum(m, self.RADIUS))

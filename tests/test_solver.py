@@ -223,9 +223,9 @@ class TestSolveTraceMin:
         # every evaluated point, a rejected extrapolation included, clips once
         calls = []
 
-        def counting(m, lo, hi, **kwargs):
+        def counting(m, hi, **kwargs):
             calls.append(m.shape[0])
-            return clip_spectrum(m, lo, hi, **kwargs)
+            return clip_spectrum(m, hi, **kwargs)
 
         monkeypatch.setattr("gramscope.solver.clip_spectrum", counting)
         prob = instance(2, 5, 6, seed=10)
@@ -319,13 +319,9 @@ class TestRankConjugate:
 
 class TestSolverOptionsJson:
     def test_roundtrip(self):
-        opts = solver_options_from_json({"max_iters": 10, "alpha": 1.5})
-        assert opts.max_iters == 10 and opts.alpha == 1.5
+        opts = solver_options_from_json({"max_iters": 10, "primal_tol": 1e-6})
+        assert opts.max_iters == 10 and opts.primal_tol == 1e-6
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             solver_options_from_json({"maxiters": 10})
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            SolverOptions(alpha=2.0)
