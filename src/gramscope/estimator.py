@@ -26,7 +26,13 @@ from .gram import (
     realize,
 )
 from .hermitian import HermBasis, herm_basis
-from .solver import SdpProblem, SolverOptions, SolverReport, solve_trace_min
+from .solver import (
+    SdpProblem,
+    SolverOptions,
+    SolverReport,
+    check_field_types,
+    solve_trace_min,
+)
 from .synth import (
     DataTable,
     Ensemble,
@@ -61,8 +67,19 @@ class TrialConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        check_field_types(
+            self,
+            ints=["d", "n_states", "n_measurements", "max_augmentations", "seed"]
+            + ([] if self.shots is None else ["shots"]),
+            reals=["tau", "failure_threshold", "epsilon"],
+            flags=["state_first", "mixed_states"],
+        )
         if self.d < 1 or self.n_states < 1 or self.n_measurements < 1:
             raise ValueError("d, n_states, n_measurements must be >= 1")
+        if self.max_augmentations < 0 or self.seed < 0:
+            raise ValueError("max_augmentations and seed must be >= 0")
+        if not isinstance(self.solver, SolverOptions):
+            raise ValueError(f"solver must be SolverOptions, got {self.solver!r}")
         if self.tau <= 0 or self.failure_threshold <= 0:
             raise ValueError("tau and failure_threshold must be > 0")
         if self.epsilon < 0:

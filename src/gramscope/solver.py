@@ -17,6 +17,8 @@ of iterations.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -34,12 +36,34 @@ ALPHA = 1.6
 #: section 3.4.1).
 RHO_UPDATE_EVERY = 100
 #: Steps the Anderson extrapolation combines.
-ANDERSON_MEMORY = 10
+ANDERSON_MEMORY = 20
 #: Relative ridge on the diagonal of the Anderson normal equations.
 ANDERSON_RIDGE = 1e-8
 #: Error a partial spectral projection may make, as a fraction of the
 #: smaller residual min(r, s / rho) at the previous point.
 PARTIAL_TOL = 0.1
+
+
+def check_field_types(obj, ints=(), reals=(), flags=()) -> None:
+    """Raise ValueError naming the first field of ``obj`` whose value has
+    the wrong type: ``ints`` must be integers (not bool or float),
+    ``reals`` finite real numbers (not bool), ``flags`` bool."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    for name in flags:
+        value = getattr(obj, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +94,7 @@ class SolverOptions:
     dual_tol: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self, ints=["max_iters"], reals=["primal_tol", "dual_tol"])
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.primal_tol <= 0 or self.dual_tol <= 0:
@@ -194,7 +219,10 @@ def solve_trace_min(
     s = rho * ||z - z_prev||_F between consecutively evaluated points.
 
     Returns the spectral-box iterate z (exactly PSD with norm <= R) and a
-    report. ``warm_primal`` is the first point v (the dual starts at zero).
+    report. ``warm_primal`` is the first point v (the dual starts at zero),
+    and it is clipped like any other. Without it the first point is v = 0,
+    which lies in the box: its clip is z = 0 without an eigendecomposition,
+    and that free evaluation is not counted as an iteration.
     Non-convergence within ``max_iters`` is not an exception: the last
     iterate is returned with ``converged=False``. Fixed inputs and
     iteration counts give bit-identical output.
@@ -220,14 +248,16 @@ def solve_trace_min(
     warm = WarmSpectrum()
     rho = RHO
     t0 = time.perf_counter()
-    history = np.empty(opts.max_iters)
+    cold = int(warm_primal is None)  # the first point, v = 0, is its own clip
+    history = np.empty(opts.max_iters + cold)
     z = v  # z_prev of the first point
     r_norm = s_norm = np.inf
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, opts.max_iters + cold + 1):
         z_prev = z
-        warm.tol = PARTIAL_TOL * min(r_norm, s_norm / rho)
-        z = clip_spectrum(v, radius, warm=warm)
+        if it > cold:
+            warm.tol = PARTIAL_TOL * min(r_norm, s_norm / rho)
+            z = clip_spectrum(v, radius, warm=warm)
         u = v - z
         if it > 1 and (it - 1) % RHO_UPDATE_EVERY == 0:
             # Boyd-style residual balancing on the last point's residuals;
@@ -274,7 +304,7 @@ def solve_trace_min(
         last = (f, g, r_norm)
     converged = r_norm <= opts.primal_tol and s_norm <= opts.dual_tol
     report = SolverReport(
-        iterations=it,
+        iterations=it - cold,
         primal_residual=r_norm,
         dual_residual=s_norm,
         objective=float(np.trace(z)),

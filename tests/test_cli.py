@@ -137,6 +137,22 @@ class TestEstimate:
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
 
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys):
+        # a float count must not reach numpy, and a string flag must not
+        # be taken as true
+        for obj, key in (
+            ({**EST_CFG, "d": 2.5}, "d"),
+            ({**EST_CFG, "solver": {"max_iters": 50.5}}, "max_iters"),
+            ({**EST_CFG, "state_first": "no"}, "state_first"),
+            ({**EST_CFG, "seed": True}, "seed"),
+            ({**EST_CFG, "seed": -1}, "seed"),
+            ({**EST_CFG, "tau": "1e-4"}, "tau"),
+        ):
+            cfg = write_json(tmp_path / "cfg.json", obj)
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def _recorded(self, tmp_path):
         data = tmp_path / "data"
         assert main(["synth", "--config", write_json(tmp_path / "s.json", SYNTH_CFG),
