@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import TrialConfig, estimate, evaluate, trial_config_from_json
+from .solver import check_field_types
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,11 @@ class BatchSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        check_field_types(self, ints=["trials_per_template", "master_seed", "jobs"])
         if self.trials_per_template < 1:
             raise ValueError("trials_per_template must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.templates:
@@ -40,9 +44,9 @@ def batch_spec_from_json(obj: dict) -> BatchSpec:
     obj = dict(obj)
     spec = BatchSpec(
         templates=[trial_config_from_json(t) for t in obj.pop("templates")],
-        trials_per_template=int(obj.pop("trials_per_template")),
-        master_seed=int(obj.pop("master_seed", 0)),
-        jobs=int(obj.pop("jobs", 1)),
+        trials_per_template=obj.pop("trials_per_template"),
+        master_seed=obj.pop("master_seed", 0),
+        jobs=obj.pop("jobs", 1),
     )
     if obj:
         raise ValueError(f"unknown batch spec key(s): {sorted(obj)}")

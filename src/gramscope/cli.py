@@ -14,13 +14,14 @@ import logging
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
 from .estimator import estimate, evaluate, solve_table, trial_config_from_json
 from .gram import gram_to_json, projective_multiplicities
-from .solver import solver_options_from_json
+from .solver import check_field_types, solver_options_from_json
 from .synth import (
     born_table,
     dump_json,
@@ -127,11 +128,13 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     try:
         table = table_from_json(_load_json(str(Path(cfg["data"]) / "table.json")))
         validate_table(table)
-        d = int(cfg["d"])
+        values = SimpleNamespace(
+            d=cfg["d"], epsilon=cfg.get("epsilon", 0.0), tau=cfg.get("tau", 1e-4)
+        )
+        check_field_types(values, ints=["d"], reals=["epsilon", "tau"])
+        d, epsilon, tau = values.d, values.epsilon, values.tau
         degeneracies = cfg.get("degeneracies")
         projective_multiplicities(d, table.n_outcomes, table.n_measurements, degeneracies)
-        epsilon = float(cfg.get("epsilon", 0.0))
-        tau = float(cfg.get("tau", 1e-4))
         if epsilon < 0 or tau <= 0:
             raise ValueError(f"need epsilon >= 0 and tau > 0, got {epsilon}, {tau}")
         solver = solver_options_from_json(cfg.get("solver", {}))

@@ -12,7 +12,8 @@ iteration clips once: by a dense symmetric eigendecomposition, or by a
 partial one from a warm Ritz subspace whose error is certified small
 enough for inexact ADMM. The ADMM step is run as a fixed-point map and
 extrapolated by safeguarded Anderson acceleration, which cuts the number
-of iterations.
+of iterations. The loop keeps its iterates as weighted upper triangles
+("svec") and stops on the fixed-point residual of the evaluated point.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ ANDERSON_MEMORY = 20
 #: Relative ridge on the diagonal of the Anderson normal equations.
 ANDERSON_RIDGE = 1e-8
 #: Error a partial spectral projection may make, as a fraction of the
-#: smaller residual min(r, s / rho) at the previous point.
+#: fixed-point residual r at the previous point.
 PARTIAL_TOL = 0.1
 
 
@@ -85,9 +86,11 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """ADMM iteration cap and stopping tolerances. Tolerances are absolute
-    Frobenius-norm residuals; the step itself is fixed by ``RHO``,
-    ``ALPHA`` and ``RHO_UPDATE_EVERY``."""
+    """ADMM iteration cap and stopping tolerances. A solve stops when the
+    fixed-point residual r = ||x - z||_F of the evaluated point is at most
+    ``primal_tol`` and rho * r, which bounds the stationarity residual, at
+    most ``dual_tol`` (see ``solve_trace_min``); the step itself is fixed
+    by ``RHO``, ``ALPHA`` and ``RHO_UPDATE_EVERY``."""
 
     max_iters: int = 200_000
     primal_tol: float = 1e-8
@@ -103,7 +106,13 @@ class SolverOptions:
 
 @dataclass
 class SolverReport:
-    """Convergence diagnostics of one solve."""
+    """Convergence diagnostics of one solve.
+
+    ``primal_residual`` is r = ||x - z||_F and ``dual_residual`` is
+    rho * r, both at the last evaluated point: r bounds the distance of
+    the returned z to the knowledge set, and rho * r the stationarity
+    residual. ``objective_history`` holds the trace of x at each
+    evaluated point."""
 
     iterations: int
     primal_residual: float
@@ -131,34 +140,56 @@ class SolverReport:
 _TINY = np.finfo(float).tiny
 
 
-def _norm(m: np.ndarray) -> float:
-    """Frobenius norm, without np.linalg.norm's per-call overhead."""
-    return float(np.sqrt(np.vdot(m, m)))
+def _svec_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of the weighted half-vectorization ("svec") of symmetric
+    n x n matrices: the n diagonal entries, then the strict upper triangle
+    row by row, with off-diagonal entries times sqrt(2) so that dot
+    products of svecs are Frobenius products.
 
-
-def _vech_maps(n: int, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps of the half-vectorization ("vech") of symmetric n x n
-    matrices: its upper triangle, row by row.
-
-    Returns ``upper``, the flat indices with ``vech = m.take(upper)``;
-    ``weight``, ``scale`` on diagonal and ``scale * sqrt(2)`` on
-    off-diagonal entries, so that dot products of ``vech * weight`` are
-    ``scale**2`` times Frobenius products; and ``full``, an n x n index
-    array with ``m = vech[full]``.
+    Returns ``upper``, the flat indices with ``svec = m.take(upper) * weight``;
+    ``weight``, 1 on diagonal and sqrt(2) on off-diagonal entries; and
+    ``full``, an n x n index array with ``m = (svec / weight).take(full)``,
+    which is exactly symmetric.
     """
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.triu_indices(n, 1)
+    rows = np.concatenate((np.arange(n), rows))
+    cols = np.concatenate((np.arange(n), cols))
     full = np.empty((n, n), dtype=np.intp)
     full[rows, cols] = full[cols, rows] = np.arange(rows.size)
-    return rows * n + cols, np.where(rows == cols, scale, scale * np.sqrt(2.0)), full
+    weight = np.full(rows.size, np.sqrt(2.0))
+    weight[:n] = 1.0
+    return rows * n + cols, weight, full
 
 
-def _clip_pins(x: np.ndarray, kn: Knowledge) -> np.ndarray:
-    """Clip the pinned entries of ``x`` into [lo, hi] in place, mirrored to
-    (j, i). An exact pin (lo == hi) lands on its value exactly."""
+def _pin_rule(kn: Knowledge, at: np.ndarray, scale: np.ndarray | float = 1.0):
+    """The knowledge projection on a flat array whose entry ``at[p]`` holds
+    the entry of pin p times ``scale[p]``.
+
+    Returns a function that, in place, writes every exact pin (lo == hi)
+    with one ``put`` and clips every interval pin into [lo, hi] (both
+    times ``scale``).
+    """
     pins = kn.constraints
-    vals = x.take(kn.flat_ij).clip(pins["lo"], pins["hi"])
-    x.put(kn.flat_ij, vals)
-    x.put(kn.flat_ji, vals)
+    exact = pins["lo"] == pins["hi"]
+    lo = pins["lo"] * scale
+    hi = pins["hi"] * scale
+    exact_at, values = at[exact], lo[exact]
+    interval_at, interval_lo, interval_hi = at[~exact], lo[~exact], hi[~exact]
+    if not interval_at.size:
+        return lambda x: x.put(exact_at, values)
+
+    def apply(x: np.ndarray) -> None:
+        x.put(exact_at, values)
+        x.put(interval_at, x.take(interval_at).clip(interval_lo, interval_hi))
+
+    return apply
+
+
+def _pin_matrix(x: np.ndarray, kn: Knowledge) -> np.ndarray:
+    """Apply the pin rule to the entries (i, j) of the n x n matrix ``x`` in
+    place and mirror them to (j, i)."""
+    _pin_rule(kn, kn.flat_ij)(x)
+    x.put(kn.flat_ji, x.take(kn.flat_ij))
     return x
 
 
@@ -170,7 +201,7 @@ def project_knowledge(m: np.ndarray, kn: Knowledge) -> np.ndarray:
     """
     if m.shape != (kn.n, kn.n):
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
-    return _clip_pins(np.array(m, dtype=float, copy=True), kn)
+    return _pin_matrix(np.array(m, dtype=float, copy=True), kn)
 
 
 def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.ndarray:
@@ -186,7 +217,7 @@ def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
     x = np.array(m, dtype=float, copy=True)
     x.flat[:: kn.n + 1] -= 1.0 / sigma
-    return _clip_pins(x, kn)
+    return _pin_matrix(x, kn)
 
 
 def solve_trace_min(
@@ -194,29 +225,38 @@ def solve_trace_min(
     opts: SolverOptions | None = None,
     warm_primal: np.ndarray | None = None,
 ) -> tuple[GramMatrix, SolverReport]:
-    """Run the ADMM, Anderson-accelerated, until both residuals fall below
-    tolerance.
+    """Run the ADMM, Anderson-accelerated, until the fixed-point residual
+    falls below tolerance.
 
     With v = x_relaxed + u, one ADMM step is the fixed-point map
-    F(v) = v + ALPHA * (x - z), where z = clip_spectrum(v), u = v - z and
-    x = prox(z - u). Each iteration evaluates F at one point, so an
-    iteration is exactly one ``clip_spectrum`` call: a full
-    eigendecomposition, or a certified partial one
-    (``SolverReport.partial_steps`` counts these) whose Frobenius error is
-    at most ``PARTIAL_TOL * min(r, s / rho)`` of the previous point, the
-    relative-error rule of inexact ADMM. The next point is the
+    F(v) = v + ALPHA * (x - z), where z = clip_spectrum(v) and
+    x = prox(2z - v), the prox of the trace over the knowledge set. The
+    loop keeps v, z, x and F(v) as svecs (weighted upper triangles, see
+    ``_svec_maps``), on which the prox is entrywise: the diagonal shifts by
+    -1/rho, exact pins are written and interval pins clipped. A point is
+    expanded to an exactly symmetric n x n matrix only for
+    ``clip_spectrum``, and only the upper triangle of its result is read
+    back. Each iteration evaluates F at one point, so an iteration is
+    exactly one ``clip_spectrum`` call: a full eigendecomposition, or a
+    certified partial one (``SolverReport.partial_steps`` counts these)
+    whose Frobenius error is at most ``PARTIAL_TOL * r`` of the previous
+    point, the relative-error rule of inexact ADMM. The next point is the
     type-II Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps;
-    when an extrapolated point has a larger primal residual than the point
+    when an extrapolated point has a larger residual r than the point
     before it, the solver takes the plain step F from that earlier point
-    instead and drops the history (``SolverReport.rejected_steps`` counts these).
-    Every ``RHO_UPDATE_EVERY`` iterations rho, which starts at ``RHO``, is
-    balanced against the residuals, and the history is dropped whenever
-    rho changes.
+    instead and drops the history (``SolverReport.rejected_steps`` counts
+    these). Every ``RHO_UPDATE_EVERY`` iterations rho, which starts at
+    ``RHO``, is balanced against r and the z-step rho * ||z - z_prev||_F,
+    and the history is dropped whenever rho changes.
 
-    The primal residual is r = ||x - z||_F at the evaluated point, so at
-    convergence every pinned entry of the returned z lies within
-    ``primal_tol`` of its interval. The dual residual is
-    s = rho * ||z - z_prev||_F between consecutively evaluated points.
+    The loop stops on the residual of the evaluated pair, whatever point
+    Anderson chose: rho (v - z) is a normal of the box at z, and
+    rho (2z - v - x) a subgradient of the trace plus the knowledge
+    indicator at x; they sum to rho (z - x). So r = ||x - z||_F bounds
+    the infeasibility, and rho * r the stationarity residual. The solve
+    has converged when r <= ``primal_tol`` and rho * r <= ``dual_tol``;
+    then every pinned entry of the returned z lies within ``primal_tol``
+    of its interval.
 
     Returns the spectral-box iterate z (exactly PSD with norm <= R) and a
     report. ``warm_primal`` is the first point v (the dual starts at zero),
@@ -231,18 +271,24 @@ def solve_trace_min(
     n = prob.n
     kn = prob.knowledge
     radius = prob.radius
-    v = np.zeros((n, n)) if warm_primal is None else np.array(warm_primal, dtype=float)
-    if v.shape != (n, n):
-        raise ValueError("warm-start matrix must be n x n")
-    # The Anderson history stores differences of F(v) as vech, and of the
-    # residual g(v) = F(v) - v as weighted vech, in float32: a difference
-    # loses only relative precision there.
-    upper, weight, full = _vech_maps(n, ALPHA)
+    upper, weight, full = _svec_maps(n)
+    at = full.take(kn.flat_ij)
+    pin = _pin_rule(kn, at, weight.take(at))
+    if warm_primal is None:
+        v = np.zeros(upper.size)
+        z_mat = np.zeros((n, n))
+    else:
+        start = np.asarray(warm_primal, dtype=float)
+        if start.shape != (n, n):
+            raise ValueError("warm-start matrix must be n x n")
+        v = (0.5 * (start + start.T)).take(upper) * weight
+    # The Anderson history stores differences of F(v) and of the residual
+    # x - z in float32: a difference loses only relative precision there.
     df = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
     dg = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
     normal = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))  # dg dg^T plus the ridge
     steps = 0  # differences stored since the history was last cleared
-    last = None  # (vech F(v), weighted vech g(v), r) at the last accepted point
+    last = None  # (F(v), x - z, r) at the last accepted point
     extrapolated = False  # whether the next point v is an extrapolation
     rejected = 0
     warm = WarmSpectrum()
@@ -251,63 +297,66 @@ def solve_trace_min(
     cold = int(warm_primal is None)  # the first point, v = 0, is its own clip
     history = np.empty(opts.max_iters + cold)
     z = v  # z_prev of the first point
-    r_norm = s_norm = np.inf
+    r_norm = np.inf
     it = 0
     for it in range(1, opts.max_iters + cold + 1):
         z_prev = z
         if it > cold:
-            warm.tol = PARTIAL_TOL * min(r_norm, s_norm / rho)
-            z = clip_spectrum(v, radius, warm=warm)
-        u = v - z
+            warm.tol = PARTIAL_TOL * r_norm
+            z_mat = clip_spectrum((v / weight).take(full), radius, warm=warm)
+            z = z_mat.take(upper)
+            z *= weight
         if it > 1 and (it - 1) % RHO_UPDATE_EVERY == 0:
-            # Boyd-style residual balancing on the last point's residuals;
-            # rescaling the dual keeps the iteration consistent. F changes
-            # with rho, so the history goes.
+            # Boyd-style residual balancing on the last point's residuals.
+            # v - z is a normal of the box at z, so rescaling it keeps z the
+            # clip of v. F changes with rho, so the history goes.
             scale = 0.5 if r_norm > 10.0 * s_norm else 2.0 if s_norm > 10.0 * r_norm else 1.0
             if scale != 1.0:
                 rho /= scale
-                u *= scale
-                v = z + u
+                v = z + scale * (v - z)
                 last, steps, extrapolated = None, 0, False
-        x = prox_trace_plus_knowledge(z - u, kn, rho)
-        history[it - 1] = x.trace()
+        x = z + z
+        x -= v
+        x[:n] -= 1.0 / rho
+        pin(x)
+        history[it - 1] = x[:n].sum()
         x -= z
-        r_norm = _norm(x)
-        s_norm = rho * _norm(z - z_prev)
-        if r_norm <= opts.primal_tol and s_norm <= opts.dual_tol:
+        r_norm = math.sqrt(x @ x)
+        if it % RHO_UPDATE_EVERY == 0:
+            step = z - z_prev
+            s_norm = rho * math.sqrt(step @ step)
+        if r_norm <= opts.primal_tol and rho * r_norm <= opts.dual_tol:
             break
         if extrapolated and r_norm > last[2]:
             # Safeguard: take the plain step from the last accepted point
             # and start the history afresh from there.
             rejected += 1
-            v = last[0][full]
+            v = last[0]
             last, steps, extrapolated = None, 0, False
             continue
-        g = x.take(upper)
-        f = v.take(upper)
-        f += ALPHA * g
-        g *= weight
+        f = x * ALPHA
+        f += v
         extrapolated = last is not None
         if extrapolated:
             slot = steps % ANDERSON_MEMORY
             np.subtract(f, last[0], out=df[slot])
-            np.subtract(g, last[1], out=dg[slot])
+            np.subtract(x, last[1], out=dg[slot])
             steps += 1
             k = min(steps, ANDERSON_MEMORY)
             normal[slot, :k] = normal[:k, slot] = dg[:k] @ dg[slot]
             # the floor keeps an all-zero difference from making it singular
             normal[slot, slot] += ANDERSON_RIDGE * normal[slot, slot] + _TINY
-            gamma = np.linalg.solve(normal[:k, :k], dg[:k] @ g.astype(np.float32))
-            v = (f - gamma.astype(np.float32) @ df[:k])[full]
+            gamma = np.linalg.solve(normal[:k, :k], dg[:k] @ x.astype(np.float32))
+            v = f - gamma.astype(np.float32) @ df[:k]
         else:
-            v = f[full]
-        last = (f, g, r_norm)
-    converged = r_norm <= opts.primal_tol and s_norm <= opts.dual_tol
+            v = f
+        last = (f, x, r_norm)
+    converged = r_norm <= opts.primal_tol and rho * r_norm <= opts.dual_tol
     report = SolverReport(
         iterations=it - cold,
         primal_residual=r_norm,
-        dual_residual=s_norm,
-        objective=float(np.trace(z)),
+        dual_residual=rho * r_norm,
+        objective=float(np.trace(z_mat)),
         converged=converged,
         seconds=time.perf_counter() - t0,
         rejected_steps=rejected,
@@ -315,7 +364,7 @@ def solve_trace_min(
         objective_history=history[:it].copy(),
     )
     g_hat = GramMatrix(
-        values=z,
+        values=z_mat,
         n_states=kn.split if kn.split is not None else n,
         n_effects=n - kn.split if kn.split is not None else 0,
     )

@@ -167,6 +167,19 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "max_iterz" in capsys.readouterr().err
 
+    def test_from_data_mistyped_value_is_config_error(self, tmp_path, capsys):
+        # the data path must not truncate a float d or take true as tau = 1
+        data = str(self._recorded(tmp_path))
+        for obj, key in (
+            ({"d": 2.5, "data": data}, "d"),
+            ({"d": 2, "data": data, "tau": True}, "tau"),
+            ({"d": 2, "data": data, "epsilon": "0.1"}, "epsilon"),
+        ):
+            cfg = write_json(tmp_path / "e.json", obj)
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_from_data_invalid_table_is_config_error(self, tmp_path, capsys):
         data = self._recorded(tmp_path)
         table = json.loads((data / "table.json").read_text())
@@ -236,6 +249,20 @@ class TestBatch:
         assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "job" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys):
+        # a float trial count must not be truncated, a flag must not be
+        # taken as one job, and a float seed must not be truncated
+        for key, value in (
+            ("trials_per_template", 1.7),
+            ("jobs", True),
+            ("master_seed", 2.9),
+            ("master_seed", -1),
+        ):
+            cfg = write_json(tmp_path / "cfg.json", {**self.BATCH_CFG, key: value})
+            assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 class TestCheckTheory:

@@ -16,6 +16,8 @@ from gramscope.hermitian import clip_spectrum, herm_basis
 from gramscope.solver import (
     SdpProblem,
     SolverOptions,
+    _pin_rule,
+    _svec_maps,
     project_knowledge,
     prox_trace_plus_knowledge,
     solve_trace_min,
@@ -68,6 +70,27 @@ class TestProjectKnowledge:
             cand = rng.standard_normal((3, 3))
             cand = project_knowledge(0.5 * (cand + cand.T), kn)
             assert np.linalg.norm(cand - m) >= best - 1e-9
+
+
+class TestSvec:
+    def test_svec_is_an_isometry_and_shares_the_pin_rule(self):
+        # the loop's weighted upper triangle: expanding it gives back the
+        # symmetric matrix, dot products are Frobenius products, and the pin
+        # rule applied to it is the matrix projection
+        rng = np.random.default_rng(11)
+        n = 5
+        kn = Knowledge(n=n, constraints=[(0, 0, 2.0, 2.0), (1, 3, 0.0, 0.5), (2, 4, -0.3, -0.3)])
+        a, b = rng.standard_normal((2, n, n))
+        a, b = a + a.T, b + b.T
+        upper, weight, full = _svec_maps(n)
+        sa, sb = a.take(upper) * weight, b.take(upper) * weight
+        assert np.allclose((sa / weight).take(full), a, rtol=1e-15, atol=0)
+        assert sa @ sb == pytest.approx(np.vdot(a, b), rel=1e-13)
+        at = full.take(kn.flat_ij)
+        _pin_rule(kn, at, weight.take(at))(sa)
+        expanded = (sa / weight).take(full)
+        assert np.array_equal(expanded, expanded.T)
+        assert np.allclose(expanded, project_knowledge(a, kn), rtol=1e-15, atol=0)
 
 
 class TestProxTracePlusKnowledge:
@@ -220,15 +243,19 @@ class TestSolveTraceMin:
         assert lam.min() >= -1e-9
 
     def test_iteration_is_one_eigendecomposition(self, monkeypatch):
-        # every evaluated point, a rejected extrapolation included, clips once
+        # every evaluated point, a rejected extrapolation included, clips
+        # once, and the svec iterate is expanded to an exactly symmetric
+        # n x n matrix for it
         calls = []
+        prob = instance(2, 5, 6, seed=10)
 
         def counting(m, hi, **kwargs):
+            assert m.shape == (prob.n, prob.n)
+            assert np.array_equal(m, m.T)
             calls.append(m.shape[0])
             return clip_spectrum(m, hi, **kwargs)
 
         monkeypatch.setattr("gramscope.solver.clip_spectrum", counting)
-        prob = instance(2, 5, 6, seed=10)
         for max_iters in (3, 100_000):
             calls.clear()
             _, report = solve_trace_min(prob, SolverOptions(max_iters=max_iters))
@@ -255,6 +282,23 @@ class TestSolveTraceMin:
             # the one clip is of the warm start, or of the step after v = 0
             assert np.array_equal(calls[0], start) == (warm_primal is not None)
             assert np.any(calls[0])
+
+    def test_stops_on_the_fixed_point_residual(self):
+        # r = ||x - z|| bounds the infeasibility and rho * r the
+        # stationarity of the evaluated pair, so the default tolerances
+        # already give the optimal value of a 1e-11 solve; the (5,5)
+        # optimum need not be unique, so only objectives are compared
+        tight = SolverOptions(primal_tol=1e-11, dual_tol=1e-11)
+        for seed in range(6):
+            prob = instance(2, 5, 5, seed)
+            objectives = []
+            for opts in (SolverOptions(), tight):
+                _, report = solve_trace_min(prob, opts)
+                assert report.converged
+                assert report.primal_residual <= opts.primal_tol
+                assert report.dual_residual <= opts.dual_tol
+                objectives.append(report.objective)
+            assert objectives[0] == pytest.approx(objectives[1], abs=1e-6)
 
     def test_pins_hold_to_primal_tol(self):
         prob = instance(2, 5, 6, seed=10)
