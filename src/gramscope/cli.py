@@ -91,31 +91,44 @@ def cmd_synth(args) -> int:
     if extra:
         raise ConfigError(f"unknown synth config key(s): {sorted(extra)}")
     try:
-        d = int(cfg["d"])
-        w = int(cfg["n_states"])
-        v = int(cfg["n_measurements"])
-        k = int(cfg.get("n_outcomes", d))
-        shots = cfg.get("shots")
-        seed = int(cfg.get("seed", 0))
+        c = SimpleNamespace(
+            d=cfg["d"],
+            n_states=cfg["n_states"],
+            n_measurements=cfg["n_measurements"],
+            n_outcomes=cfg.get("n_outcomes", cfg["d"]),
+            seed=cfg.get("seed", 0),
+            shots=cfg.get("shots"),
+            mixed_states=cfg.get("mixed_states", False),
+        )
+        ints = ["d", "n_states", "n_measurements", "n_outcomes", "seed"]
+        if c.shots is not None:
+            ints.append("shots")
+        check_field_types(c, ints=ints, flags=["mixed_states"])
         degeneracies = cfg.get("degeneracies")
-        mixed = bool(cfg.get("mixed_states", False))
-        if min(d, w, v) < 1 or (shots is not None and int(shots) < 1):
+        if min(c.d, c.n_states, c.n_measurements) < 1 or (c.shots is not None and c.shots < 1):
             raise ValueError("d, n_states, n_measurements and shots must be >= 1")
+        if c.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {c.seed}")
         if degeneracies is not None and not all(isinstance(m, int) for m in degeneracies):
             raise ValueError("degeneracies must be one list of multiplicities")
-        projective_multiplicities(d, k, v, degeneracies)
+        projective_multiplicities(c.d, c.n_outcomes, c.n_measurements, degeneracies)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from exc
-    rng = np.random.default_rng(seed)
-    ens = sample_ensemble(d, w, v, rng, mixed=mixed, degeneracies=degeneracies)
-    table = born_table(ens) if shots is None else finite_shot_table(ens, int(shots), rng)
+    rng = np.random.default_rng(c.seed)
+    ens = sample_ensemble(
+        c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=degeneracies
+    )
+    table = born_table(ens) if c.shots is None else finite_shot_table(ens, c.shots, rng)
     validate_table(table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(ensemble_to_json(ens), out / "ensemble.json")
     dump_json(table_to_json(table), out / "table.json")
     (out / "table.csv").write_text(table_to_csv(table))
-    log.info("wrote ensemble and table for d=%d, W=%d, V=%d to %s", d, w, v, out)
+    log.info(
+        "wrote ensemble and table for d=%d, W=%d, V=%d to %s",
+        c.d, c.n_states, c.n_measurements, out,
+    )
     return EXIT_OK
 
 

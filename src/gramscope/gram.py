@@ -8,6 +8,7 @@ to intervals [lo, hi] (exact values when lo == hi) before completion.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,6 +164,8 @@ def projective_multiplicities(
     if len(per_v) != v_:
         raise ValueError(f"expected {v_} degeneracy lists, got {len(per_v)}")
     for mults in per_v:
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in mults):
+            raise ValueError(f"degeneracy pattern {mults} must hold integer multiplicities")
         if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
             raise ValueError(f"degeneracy pattern {mults} inconsistent with K={k_}, d={d}")
     return per_v

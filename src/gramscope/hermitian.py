@@ -110,12 +110,23 @@ class WarmSpectrum:
     sets it before each call. ``basis`` (orthonormal columns) is the
     subspace the next partial step starts from; full steps and accepted
     partial steps replace it. ``partial_steps`` counts the calls that
-    returned a certified partial projection.
+    returned a certified partial projection, ``failed_partial_steps`` the
+    calls whose partial attempt was not certified and fell back to the
+    full step.
     """
 
     tol: float = 0.0
     basis: np.ndarray | None = None
     partial_steps: int = 0
+    failed_partial_steps: int = 0
+
+
+def _outer_clipped(vecs: np.ndarray, w: np.ndarray, hi: float) -> np.ndarray:
+    """B B^T with B = vecs * sqrt(min(w, hi)), for eigenpairs (w, vecs) with
+    every w > 0. numpy sends the product of a matrix with its own
+    transpose to syrk, so the result is exactly symmetric."""
+    b = vecs * np.sqrt(w.clip(max=hi))
+    return b @ b.T
 
 
 def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | None:
@@ -155,10 +166,7 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     except np.linalg.LinAlgError:
         return None
     warm.basis = q
-    out = np.matmul(pos * tpos.clip(0.0, hi), pos.T, out=comp)
-    out += out.T
-    out *= 0.5
-    return out
+    return _outer_clipped(pos, tpos, hi)
 
 
 def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) -> np.ndarray:
@@ -166,7 +174,12 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
 
     This is the Frobenius-nearest matrix whose eigenvalues lie in [0, hi]:
     the projection onto the PSD cone intersected with the operator-norm
-    ball of radius hi. The input is symmetrized first.
+    ball of radius hi. As for ``numpy.linalg.eigh``, ``m`` must be
+    symmetric; it is not symmetrized here. The result is rebuilt from the
+    positive eigenpairs (w, u) alone as B B^T with B = u * sqrt(min(w, hi)),
+    which numpy computes by syrk: it is exactly symmetric, costs n^2 p
+    flops for p positive eigenvalues, and is exactly zero when none is
+    positive.
 
     With ``warm`` a sequence of calls on slowly changing inputs may skip
     the dense eigendecomposition: while the warm basis has at most
@@ -180,8 +193,6 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     if hi < 0:
         raise ValueError(f"empty spectral box: hi={hi} < 0")
     a = np.asarray(m, dtype=float)
-    a = a + a.T
-    a *= 0.5
     n = a.shape[0]
     basis = None if warm is None else warm.basis
     if basis is not None and basis.shape[1] <= PARTIAL_FRACTION * n:
@@ -189,7 +200,9 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
         if out is not None:
             warm.partial_steps += 1
             return out
+        warm.failed_partial_steps += 1
     w, u = np.linalg.eigh(a)
+    first = int(w.searchsorted(0.0, "right"))  # first positive eigenvalue
     if warm is not None:
         # Keep the eigenvectors above 0 and PARTIAL_BUFFER more, but only
         # if a partial step would take that basis: at most
@@ -197,8 +210,5 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
         most = int(PARTIAL_FRACTION * n) - PARTIAL_BUFFER
         warm.basis = None
         if most >= 0 and w[n - 1 - most] <= 0.0:
-            warm.basis = u[:, max(int(w.searchsorted(0.0, "right")) - PARTIAL_BUFFER, 0) :].copy()
-    out = (u * w.clip(0.0, hi)) @ u.T
-    out += out.T
-    out *= 0.5
-    return out
+            warm.basis = u[:, max(first - PARTIAL_BUFFER, 0) :].copy()
+    return _outer_clipped(u[:, first:], w[first:], hi)

@@ -65,6 +65,21 @@ class TestSynth:
         assert "mixed_state" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys):
+        # a float dimension must not be truncated to a d=2 ensemble, and a
+        # string flag must not be taken as true
+        for obj, key in (
+            ({**SYNTH_CFG, "d": 2.5}, "d"),
+            ({**SYNTH_CFG, "mixed_states": "no"}, "mixed_states"),
+            ({**SYNTH_CFG, "seed": True}, "seed"),
+            ({**SYNTH_CFG, "shots": 10.5}, "shots"),
+            ({**SYNTH_CFG, "degeneracies": [True, True]}, "degeneracy"),
+        ):
+            cfg = write_json(tmp_path / "cfg.json", obj)
+            assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_malformed_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

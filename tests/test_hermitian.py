@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from gramscope.hermitian import WarmSpectrum, clip_spectrum, herm_basis, vectorize
+from gramscope.hermitian import (
+    PARTIAL_BUFFER,
+    WarmSpectrum,
+    clip_spectrum,
+    herm_basis,
+    vectorize,
+)
 
 
 def random_hermitian(d, rng):
@@ -114,6 +120,7 @@ class TestClipSpectrum:
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((7, 7))
+        m = 0.5 * (m + m.T)
         once = clip_spectrum(m, 0.5)
         assert np.max(np.abs(clip_spectrum(once, 0.5) - once)) < 1e-9
 
@@ -133,13 +140,39 @@ class TestClipSpectrum:
         with pytest.raises(ValueError):
             clip_spectrum(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("n", [15, 60, 180])
+    def test_matches_eigenvalue_clipping(self, n):
+        # the B B^T rebuild from the positive eigenpairs equals the
+        # symmetrized U clip(w) U^T, with eigenvalues below 0, inside
+        # [0, hi] and above hi, and is exactly symmetric
+        rng = np.random.default_rng(n)
+        hi = 1.0
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = rng.uniform(-2.0, 3.0, n)
+        assert w.min() < 0 < w.max() and np.any((w > 0) & (w < hi)) and w.max() > hi
+        m = (u * w) @ u.T
+        m = 0.5 * (m + m.T)
+        lam, vec = np.linalg.eigh(m)
+        r = (vec * lam.clip(0.0, hi)) @ vec.T
+        out = clip_spectrum(m, hi)
+        assert np.array_equal(out, out.T)
+        assert np.max(np.abs(out - 0.5 * (r + r.T))) <= 1e-12 * np.linalg.norm(m)
+
+    def test_negative_definite_gives_exact_zeros(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 9))
+        m = -(a @ a.T) - np.eye(9)
+        assert np.array_equal(clip_spectrum(m, 1.0), np.zeros((9, 9)))
+        assert np.array_equal(clip_spectrum(np.eye(9), 0.0), np.zeros((9, 9)))
+
 
 def low_rank_spectrum(n, positive, rng):
     """Symmetric matrix with the given positive eigenvalues, the rest in
     [-3, -0.5], and its eigenvectors (columns, positive ones last)."""
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
     w = np.concatenate((rng.uniform(-3.0, -0.5, n - len(positive)), positive))
-    return (u * w) @ u.T, u
+    m = (u * w) @ u.T
+    return 0.5 * (m + m.T), u
 
 
 class TestClipSpectrumWarm:
@@ -154,11 +187,14 @@ class TestClipSpectrumWarm:
         warm = WarmSpectrum()
         clip_spectrum(m, self.RADIUS, warm=warm)
         assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
+        assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
         e = rng.standard_normal((40, 40))
         m2 = m + 1e-3 * (e + e.T)
         warm.tol = 1e-3
         out = clip_spectrum(m2, self.RADIUS, warm=warm)
-        assert warm.partial_steps == 1
+        assert warm.partial_steps == 1 and warm.failed_partial_steps == 0
+        assert warm.basis.shape[0] == 40 and warm.basis.shape[1] >= 3
+        assert np.allclose(warm.basis.T @ warm.basis, np.eye(warm.basis.shape[1]), atol=1e-12)
         assert np.linalg.norm(out - clip_spectrum(m2, self.RADIUS)) <= warm.tol
         assert np.array_equal(out, out.T)
         lam = np.linalg.eigvalsh(out)
@@ -172,5 +208,15 @@ class TestClipSpectrumWarm:
         m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
         warm = WarmSpectrum(tol=np.inf, basis=u[:, 30:39])
         out = clip_spectrum(m, self.RADIUS, warm=warm)
-        assert warm.partial_steps == 0
+        assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
         assert np.array_equal(out, clip_spectrum(m, self.RADIUS))
+        # the full step re-seeds the basis from its own eigenvectors
+        assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
+
+    def test_full_step_drops_a_basis_too_wide_to_use(self):
+        # 8 positive eigenvalues plus the buffer exceed a quarter of n=40
+        rng = np.random.default_rng(13)
+        m, _ = low_rank_spectrum(40, np.linspace(0.5, 3.0, 8), rng)
+        warm = WarmSpectrum(basis=np.eye(40)[:, :1])
+        clip_spectrum(m, self.RADIUS, warm=warm)
+        assert warm.basis is None and warm.failed_partial_steps == 1
