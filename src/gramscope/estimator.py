@@ -10,7 +10,7 @@ is re-solved from a padded warm start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,60 +116,26 @@ def trial_config_from_json(obj: dict) -> TrialConfig:
     return TrialConfig(**kwargs)
 
 
-def _table_values(ens: Ensemble, shots: int | None, rng: np.random.Generator) -> np.ndarray:
-    k = ens.n_outcomes
-    vals = np.empty((ens.n_states, ens.n_measurements * k))
-    for w, rho in enumerate(ens.states):
-        for v, povm in enumerate(ens.povms):
-            vals[w, v * k : (v + 1) * k] = _block(rho, povm, shots, rng)
-    return vals
+def _table_values(
+    states: list, povms: list, shots: int | None, rng: np.random.Generator
+) -> np.ndarray:
+    """W x (V*K) table of the given states and POVMs: clipped Born
+    probabilities, or with ``shots`` their multinomial frequencies, drawn
+    state by state."""
+    rows = []
+    for rho in states:
+        for povm in povms:
+            p = np.clip(born_probabilities(rho, povm), 0.0, 1.0)
+            rows.append(p if shots is None else rng.multinomial(shots, p / p.sum()) / shots)
+    return np.reshape(rows, (len(states), -1))
 
 
-def _block(rho, povm, shots: int | None, rng: np.random.Generator) -> np.ndarray:
-    p = np.clip(born_probabilities(rho, povm), 0.0, 1.0)
-    if shots is None:
-        return p
-    return rng.multinomial(shots, p / p.sum()) / shots
-
-
-def _add_state(
-    ens: Ensemble, vals: np.ndarray, shots: int | None, rng: np.random.Generator
-) -> tuple[Ensemble, np.ndarray]:
-    rho = sample_pure_state(ens.dim, rng)
-    row = np.concatenate([_block(rho, povm, shots, rng) for povm in ens.povms])
-    ens = Ensemble(
-        dim=ens.dim,
-        states=list(ens.states) + [rho],
-        povms=ens.povms,
-        projective_nondegenerate=ens.projective_nondegenerate,
-    )
-    return ens, np.vstack([vals, row])
-
-
-def _add_measurement(
-    ens: Ensemble, vals: np.ndarray, shots: int | None, rng: np.random.Generator
-) -> tuple[Ensemble, np.ndarray]:
-    povm = sample_projective_measurement(ens.dim, rng)
-    cols = np.vstack([_block(rho, povm, shots, rng) for rho in ens.states])
-    ens = Ensemble(
-        dim=ens.dim,
-        states=ens.states,
-        povms=list(ens.povms) + [povm],
-        projective_nondegenerate=ens.projective_nondegenerate,
-    )
-    return ens, np.hstack([vals, cols])
-
-
-def _pad_for_state(m: np.ndarray, w_old: int) -> np.ndarray:
-    # New state column enters the Gram matrix at index w_old.
-    m = np.insert(m, w_old, 0.0, axis=0)
-    return np.insert(m, w_old, 0.0, axis=1)
-
-
-def _pad_for_measurement(m: np.ndarray, k: int) -> np.ndarray:
+def _pad(m: np.ndarray, at: int, k: int) -> np.ndarray:
+    """``m`` with k zero rows and columns inserted before index ``at``."""
     n = m.shape[0]
     out = np.zeros((n + k, n + k))
-    out[:n, :n] = m
+    keep = np.r_[:at, at + k : n + k]
+    out[np.ix_(keep, keep)] = m
     return out
 
 
@@ -194,11 +160,7 @@ def solve_table(
     if epsilon:
         kn = knowledge_relax(kn, epsilon)
     target_rank = numerical_rank(table.values)
-    prob = SdpProblem(
-        n=kn.n,
-        knowledge=kn,
-        radius=r_qm(table.n_states, table.n_measurements, d),
-    )
+    prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, d))
     g_hat, report = solve_trace_min(prob, solver, warm_primal)
     certified = rank_certificate(g_hat, target_rank, tau)
     return GramEstimate(
@@ -226,7 +188,7 @@ def estimate(
     ens = sample_ensemble(
         cfg.d, cfg.n_states, cfg.n_measurements, rng, mixed=cfg.mixed_states
     )
-    vals = _table_values(ens, cfg.shots, rng)
+    vals = _table_values(ens.states, ens.povms, cfg.shots, rng)
 
     warm_primal = None
     augmentations = 0
@@ -250,12 +212,15 @@ def estimate(
         if est.certified or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
-            w_old = ens.n_states
-            ens, vals = _add_state(ens, vals, cfg.shots, rng)
-            warm_primal = _pad_for_state(est.g_hat.values, w_old)
+            rho = sample_pure_state(cfg.d, rng)
+            vals = np.vstack([vals, _table_values([rho], ens.povms, cfg.shots, rng)])
+            warm_primal = _pad(est.g_hat.values, ens.n_states, 1)
+            ens = replace(ens, states=[*ens.states, rho])
         else:
-            ens, vals = _add_measurement(ens, vals, cfg.shots, rng)
-            warm_primal = _pad_for_measurement(est.g_hat.values, ens.n_outcomes)
+            povm = sample_projective_measurement(cfg.d, rng)
+            vals = np.hstack([vals, _table_values(ens.states, [povm], cfg.shots, rng)])
+            warm_primal = _pad(est.g_hat.values, est.g_hat.n, len(povm))
+            ens = replace(ens, povms=[*ens.povms, povm])
         add_state_next = not add_state_next
         augmentations += 1
 

@@ -23,8 +23,6 @@ class Realization:
 
     p_states: np.ndarray
     p_effects: np.ndarray
-    n_measurements: int
-    n_outcomes: int
 
     @property
     def p(self) -> np.ndarray:
@@ -111,23 +109,14 @@ def realize(ens: Ensemble, basis: HermBasis) -> Realization:
     p_states = np.column_stack([vectorize(rho, basis) for rho in ens.states])
     cols = [vectorize(e, basis) for povm in ens.povms for e in povm]
     p_effects = np.column_stack(cols)
-    return Realization(
-        p_states=p_states,
-        p_effects=p_effects,
-        n_measurements=ens.n_measurements,
-        n_outcomes=ens.n_outcomes,
-    )
+    return Realization(p_states=p_states, p_effects=p_effects)
 
 
 def gram(real: Realization) -> GramMatrix:
-    """Gram matrix G = P^T P of a realization."""
+    """Gram matrix G = P^T P of a realization. numpy forms P^T P by a
+    symmetric rank-k update, so G is exactly symmetric."""
     p = real.p
-    g = p.T @ p
-    return GramMatrix(
-        values=0.5 * (g + g.T),
-        n_states=real.n_states,
-        n_effects=real.p_effects.shape[1],
-    )
+    return GramMatrix(values=p.T @ p, n_states=real.n_states, n_effects=real.p_effects.shape[1])
 
 
 def r_qm(n_states: int, n_measurements: int, d: int) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,19 +76,19 @@ def check_field_types(obj, ints=(), reals=(), flags=()) -> None:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Completion instance: size, pinned entries, and spectral radius."""
+    """Completion instance: pinned entries and spectral radius. Its size n
+    is the knowledge's."""
 
-    n: int
     knowledge: Knowledge
     radius: float
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.knowledge.n != self.n:
-            raise ValueError(
-                f"knowledge is for n={self.knowledge.n}, problem has n={self.n}"
-            )
+
+    @property
+    def n(self) -> int:
+        return self.knowledge.n
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ class SolverReport:
     ``primal_residual`` is r = ||x - z||_F and ``dual_residual`` is
     rho * r, both at the last evaluated point: r bounds the distance of
     the returned z to the knowledge set, and rho * r the stationarity
-    residual. ``objective_history`` holds the trace of x at each
-    evaluated point."""
+    residual."""
 
     iterations: int
     primal_residual: float
@@ -130,7 +129,6 @@ class SolverReport:
     rejected_steps: int = 0
     partial_steps: int = 0
     failed_partial_steps: int = 0
-    objective_history: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -305,7 +303,6 @@ def solve_trace_min(
     rho = RHO
     t0 = time.perf_counter()
     cold = int(warm_primal is None)  # the first point, v = 0, is its own clip
-    history = np.empty(opts.max_iters + cold)
     z = v  # z_prev of the first point
     r_norm = np.inf
     it = 0
@@ -329,7 +326,6 @@ def solve_trace_min(
         x -= v
         x[:n] -= 1.0 / rho
         pin(x)
-        history[it - 1] = x[:n].sum()
         x -= z
         r_norm = math.sqrt(x @ x)
         if it % RHO_UPDATE_EVERY == 0:
@@ -372,7 +368,6 @@ def solve_trace_min(
         rejected_steps=rejected,
         partial_steps=warm.partial_steps,
         failed_partial_steps=warm.failed_partial_steps,
-        objective_history=history[:it].copy(),
     )
     g_hat = GramMatrix(
         values=z_mat,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,13 +250,22 @@ def table_to_json(table: DataTable) -> dict:
     }
 
 
+def _count(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def table_from_json(obj: dict) -> DataTable:
+    """Inverse of ``table_to_json``; a count that is not an integer (a
+    float or a bool) raises ValueError naming its key."""
     return DataTable(
         values=np.array(obj["values"], dtype=float),
-        n_states=int(obj["n_states"]),
-        n_measurements=int(obj["n_measurements"]),
-        n_outcomes=int(obj["n_outcomes"]),
-        shots=None if obj["shots"] is None else int(obj["shots"]),
+        n_states=_count(obj, "n_states"),
+        n_measurements=_count(obj, "n_measurements"),
+        n_outcomes=_count(obj, "n_outcomes"),
+        shots=None if obj["shots"] is None else _count(obj, "shots"),
     )
 
 

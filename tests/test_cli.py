@@ -197,12 +197,19 @@ class TestEstimate:
 
     def test_from_data_invalid_table_is_config_error(self, tmp_path, capsys):
         data = self._recorded(tmp_path)
-        table = json.loads((data / "table.json").read_text())
-        table["values"] = [[0.9] * 4 for _ in table["values"]]  # row sums 1.8
-        write_json(data / "table.json", table)
-        cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})
-        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "do not sum to 1" in capsys.readouterr().err
+        recorded = json.loads((data / "table.json").read_text())
+        row_sums = [[0.9] * 4 for _ in recorded["values"]]  # row sums 1.8
+        for key, value, message in (
+            ("values", row_sums, "do not sum to 1"),
+            ("n_states", 3.7, "n_states"),
+            ("n_outcomes", 2.0, "n_outcomes"),
+            ("shots", True, "shots"),
+        ):
+            write_json(data / "table.json", {**recorded, key: value})
+            cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_error_inside_solve_is_not_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

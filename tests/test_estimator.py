@@ -15,7 +15,7 @@ from gramscope.estimator import (
 from gramscope.gram import GramMatrix, gram, realize
 from gramscope.hermitian import herm_basis
 from gramscope.solver import SolverOptions
-from gramscope.synth import sample_ensemble
+from gramscope.synth import born_table, finite_shot_table, sample_ensemble
 
 
 class TestTrialConfig:
@@ -133,6 +133,28 @@ class TestEstimateEndToEnd:
         # no certification expected at this size; the data block must still
         # be reproduced within the interval width plus sampling noise
         assert m.data_block_error < 0.2
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("shots", [None, 1000, 10**6])
+    def test_table_matches_synth(self, shots, mixed):
+        # the trial's first table is the one synth builds from the same
+        # draws: the ensemble, then the multinomials state by state
+        for seed in range(10):
+            cfg = TrialConfig(
+                d=2,
+                n_states=4,
+                n_measurements=3,
+                seed=seed,
+                shots=shots,
+                mixed_states=mixed,
+                max_augmentations=0,
+                solver=SolverOptions(max_iters=1),
+            )
+            est, _ = estimate(cfg)
+            rng = np.random.default_rng(seed)
+            ens = sample_ensemble(2, 4, 3, rng, mixed=mixed)
+            table = born_table(ens) if shots is None else finite_shot_table(ens, shots, rng)
+            assert np.array_equal(est.table.values, table.values)
 
 
 class TestEvaluate:

@@ -43,6 +43,7 @@ class TestRealizeAndGram:
     def test_gram_is_psd(self):
         ens = sample_ensemble(2, 5, 5, np.random.default_rng(2))
         g = gram(realize(ens, herm_basis(2)))
+        assert np.array_equal(g.values, g.values.T)
         assert np.linalg.eigvalsh(g.values).min() > -1e-10
 
     def test_rejects_basis_mismatch(self):

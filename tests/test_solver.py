@@ -35,7 +35,7 @@ def instance(d, w, v, seed):
     """Completion problem of a random ensemble with exact Born data."""
     ens = sample_ensemble(d, w, v, np.random.default_rng(seed))
     kn = knowledge_projective(born_table(ens), d)
-    return SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(w, v, d))
+    return SdpProblem(knowledge=kn, radius=r_qm(w, v, d))
 
 
 class TestProjectKnowledge:
@@ -153,13 +153,13 @@ class TestSolveTraceMin:
         # must return it exactly
         target = np.array([[1.0, 1.0], [1.0, 2.0]])
         kn = exact_kn(2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 2.0)])
-        prob = SdpProblem(n=2, knowledge=kn, radius=5.0)
+        prob = SdpProblem(knowledge=kn, radius=5.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=5000))
         assert report.converged
         assert np.max(np.abs(g_hat.values - target)) < 1e-6
 
     def test_unconstrained_minimum_is_zero(self):
-        prob = SdpProblem(n=4, knowledge=Knowledge(n=4), radius=3.0)
+        prob = SdpProblem(knowledge=Knowledge(n=4), radius=3.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=5000))
         assert report.converged
         assert np.max(np.abs(g_hat.values)) < 1e-6
@@ -169,7 +169,7 @@ class TestSolveTraceMin:
         # fixed at 2, any |g01| <= 1 is feasible, and the minimizer is
         # determined only up to that freedom, so check feasibility
         kn = exact_kn(2, [(0, 0, 1.0), (1, 1, 1.0)])
-        prob = SdpProblem(n=2, knowledge=kn, radius=4.0)
+        prob = SdpProblem(knowledge=kn, radius=4.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=5000))
         assert report.converged
         assert report.objective == pytest.approx(2.0, abs=1e-6)
@@ -179,14 +179,14 @@ class TestSolveTraceMin:
         # min trace with g01 = 1 pinned: PSD needs g00*g11 >= 1, and
         # trace is minimized at g00 = g11 = 1
         kn = exact_kn(2, [(0, 1, 1.0)])
-        prob = SdpProblem(n=2, knowledge=kn, radius=10.0)
+        prob = SdpProblem(knowledge=kn, radius=10.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=20000))
         assert report.converged
         assert np.max(np.abs(g_hat.values - np.ones((2, 2)))) < 1e-5
 
     def test_interval_constraint_respected(self):
         kn = Knowledge(n=2, constraints=[(0, 1, 2.0, 2.0), (0, 0, 4.0, 9.0)])
-        prob = SdpProblem(n=2, knowledge=kn, radius=20.0)
+        prob = SdpProblem(knowledge=kn, radius=20.0)
         g_hat, report = solve_trace_min(prob, SolverOptions(max_iters=40000))
         assert report.converged
         # on the boundary g00 = 4, PSD forces g11 >= 1; minimum trace is 5
@@ -197,7 +197,7 @@ class TestSolveTraceMin:
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(3))
         kn = knowledge_projective(born_table(ens), 2)
         radius = r_qm(3, 3, 2)
-        prob = SdpProblem(n=kn.n, knowledge=kn, radius=radius)
+        prob = SdpProblem(knowledge=kn, radius=radius)
         g_hat, _ = solve_trace_min(prob, SolverOptions(max_iters=3000))
         lam = np.linalg.eigvalsh(g_hat.values)
         assert lam.min() >= -1e-9
@@ -206,26 +206,16 @@ class TestSolveTraceMin:
     def test_deterministic(self):
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(4))
         kn = knowledge_projective(born_table(ens), 2)
-        prob = SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(3, 3, 2))
+        prob = SdpProblem(knowledge=kn, radius=r_qm(3, 3, 2))
         opts = SolverOptions(max_iters=2000)
         a, ra = solve_trace_min(prob, opts)
         b, rb = solve_trace_min(prob, opts)
         assert np.array_equal(a.values, b.values)
         assert ra.iterations == rb.iterations
 
-    def test_objective_settles(self):
-        # over the last tenth of the run the objective should be flat
-        ens = sample_ensemble(2, 4, 6, np.random.default_rng(5))
-        kn = knowledge_projective(born_table(ens), 2)
-        prob = SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(4, 6, 2))
-        _, report = solve_trace_min(prob, SolverOptions(max_iters=100_000))
-        assert report.converged
-        tail = report.objective_history[-max(10, report.iterations // 10):]
-        assert np.max(tail) - np.min(tail) < 1e-5
-
     def test_nonconvergence_is_reported_not_raised(self):
         kn = exact_kn(2, [(0, 1, 1.0)])
-        prob = SdpProblem(n=2, knowledge=kn, radius=10.0)
+        prob = SdpProblem(knowledge=kn, radius=10.0)
         _, report = solve_trace_min(prob, SolverOptions(max_iters=3))
         assert not report.converged
         assert report.iterations == 3
@@ -233,7 +223,7 @@ class TestSolveTraceMin:
     def test_warm_start_reaches_same_optimum(self):
         ens = sample_ensemble(2, 4, 5, np.random.default_rng(6))
         kn = knowledge_projective(born_table(ens), 2)
-        prob = SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(4, 5, 2))
+        prob = SdpProblem(knowledge=kn, radius=r_qm(4, 5, 2))
         opts = SolverOptions(max_iters=100_000)
         g_hat, cold = solve_trace_min(prob, opts)
         g_warm, warm = solve_trace_min(prob, opts, warm_primal=g_hat.values)
@@ -287,10 +277,10 @@ class TestSolveTraceMin:
         # r = ||x - z|| bounds the infeasibility and rho * r the
         # stationarity of the evaluated pair, so the default tolerances
         # already give the optimal value of a 1e-11 solve; the (5,5)
-        # optimum need not be unique, so only objectives are compared
+        # optimum need not be unique, so only objectives are compared; the
+        # (4,6) instance has more measurements than states
         tight = SolverOptions(primal_tol=1e-11, dual_tol=1e-11)
-        for seed in range(6):
-            prob = instance(2, 5, 5, seed)
+        for prob in [instance(2, 5, 5, seed) for seed in range(6)] + [instance(2, 4, 6, 5)]:
             objectives = []
             for opts in (SolverOptions(), tight):
                 _, report = solve_trace_min(prob, opts)
@@ -349,13 +339,9 @@ class TestSolveTraceMin:
             total += report.iterations
         assert total <= memory_10_iterations // 2
 
-    def test_rejects_mismatched_knowledge(self):
-        with pytest.raises(ValueError):
-            SdpProblem(n=3, knowledge=Knowledge(n=2), radius=1.0)
-
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            SdpProblem(n=2, knowledge=Knowledge(n=2), radius=0.0)
+            SdpProblem(knowledge=Knowledge(n=2), radius=0.0)
 
 
 class TestRecoveryFromData:
@@ -367,7 +353,7 @@ class TestRecoveryFromData:
         g_true = gram(realize(ens, herm_basis(2)))
         table = born_table(ens)
         kn = knowledge_projective(table, 2)
-        prob = SdpProblem(n=kn.n, knowledge=kn, radius=r_qm(10, 10, 2))
+        prob = SdpProblem(knowledge=kn, radius=r_qm(10, 10, 2))
         g_hat, report = solve_trace_min(
             prob, SolverOptions(max_iters=60_000, primal_tol=1e-9, dual_tol=1e-9)
         )
