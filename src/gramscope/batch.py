@@ -10,7 +10,8 @@ reports.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def run_trial(cfg: TrialConfig) -> dict:
         "converged": est.report.converged,
         "seconds": est.report.seconds,
     }
-    record.update(metrics.to_json())
+    record.update(asdict(metrics))
     return record
 
 
@@ -107,19 +108,18 @@ def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
     """Run all trials (optionally in parallel) and aggregate.
 
     Returns the report and the flat list of per-trial records ordered by
-    (template, trial) index.
+    (template, trial) index. ``progress(done, total)`` is called as each
+    record arrives in that order; in a serial run, right after its trial.
     """
     jobs_list = []
     for ti, template in enumerate(spec.templates):
         for tr in range(spec.trials_per_template):
             jobs_list.append(replace(template, seed=trial_seed(spec.master_seed, ti, tr)))
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            records = list(pool.map(run_trial, jobs_list))
-    else:
-        records = []
-        for idx, cfg in enumerate(jobs_list):
-            records.append(run_trial(cfg))
+    records = []
+    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else nullcontext() as pool:
+        results = map(run_trial, jobs_list) if pool is None else pool.map(run_trial, jobs_list)
+        for idx, record in enumerate(results):
+            records.append(record)
             if progress is not None:
                 progress(idx + 1, len(jobs_list))
 

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -157,7 +158,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
-        "report": est.report.to_json(),
+        "report": asdict(est.report),
     }
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")
@@ -184,8 +185,8 @@ def cmd_estimate(args) -> int:
         "certified": est.certified,
         "target_rank": est.target_rank,
         "augmentations": est.augmentations,
-        "report": est.report.to_json(),
-        "metrics": metrics.to_json(),
+        "report": asdict(est.report),
+        "metrics": asdict(metrics),
     }
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")

@@ -4,8 +4,8 @@ A trial samples a hidden ensemble, pins the projective knowledge on the
 observed table, runs the trace-minimization completion, and checks the
 singular-value tail of the estimate against the rank of the data table.
 While the certificate fails and budget remains, one state or one
-measurement is added (state first, alternating) and the enlarged problem
-is re-solved from a padded warm start.
+measurement is added (state first, alternating) and the enlarged table is
+solved afresh, exactly as ``solve_table`` solves a recorded one.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class TrialConfig:
 
     Measurements are projective and non-degenerate, so each has K = d
     outcomes. ``shots`` None means asymptotic (exact Born probabilities);
-    a finite value draws multinomial frequencies and ``epsilon`` widens
-    the data-block constraints into intervals.
+    a finite value draws multinomial frequencies. A nonzero ``epsilon``
+    widens the data-block constraints into intervals, with or without
+    shots, as ``solve_table`` does.
     """
 
     d: int
@@ -130,15 +131,6 @@ def _table_values(
     return np.reshape(rows, (len(states), -1))
 
 
-def _pad(m: np.ndarray, at: int, k: int) -> np.ndarray:
-    """``m`` with k zero rows and columns inserted before index ``at``."""
-    n = m.shape[0]
-    out = np.zeros((n + k, n + k))
-    keep = np.r_[:at, at + k : n + k]
-    out[np.ix_(keep, keep)] = m
-    return out
-
-
 def solve_table(
     table: DataTable,
     d: int,
@@ -146,7 +138,6 @@ def solve_table(
     epsilon: float = 0.0,
     tau: float = 1e-4,
     solver: SolverOptions | None = None,
-    warm_primal: np.ndarray | None = None,
 ) -> GramEstimate:
     """Solve and certify one data table.
 
@@ -161,7 +152,7 @@ def solve_table(
         kn = knowledge_relax(kn, epsilon)
     target_rank = numerical_rank(table.values)
     prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, d))
-    g_hat, report = solve_trace_min(prob, solver, warm_primal)
+    g_hat, report = solve_trace_min(prob, solver)
     certified = rank_certificate(g_hat, target_rank, tau)
     return GramEstimate(
         g_hat=g_hat,
@@ -180,7 +171,8 @@ def estimate(
     """Run one full estimation trial; returns the estimate and the hidden
     ground-truth ensemble for evaluation.
 
-    Each step is one ``solve_table`` on the current table. An exhausted
+    Each step is one ``solve_table`` on the current table, so the result
+    is exactly what ``solve_table`` gives on the final table. An exhausted
     augmentation budget yields ``certified=False`` rather than an
     exception; solver non-convergence is visible in the report.
     """
@@ -190,7 +182,6 @@ def estimate(
     )
     vals = _table_values(ens.states, ens.povms, cfg.shots, rng)
 
-    warm_primal = None
     augmentations = 0
     add_state_next = cfg.state_first
     while True:
@@ -201,25 +192,16 @@ def estimate(
             n_outcomes=ens.n_outcomes,
             shots=cfg.shots,
         )
-        est = solve_table(
-            table,
-            cfg.d,
-            epsilon=cfg.epsilon if cfg.shots is not None else 0.0,
-            tau=cfg.tau,
-            solver=cfg.solver,
-            warm_primal=warm_primal,
-        )
+        est = solve_table(table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver)
         if est.certified or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
             rho = sample_pure_state(cfg.d, rng)
             vals = np.vstack([vals, _table_values([rho], ens.povms, cfg.shots, rng)])
-            warm_primal = _pad(est.g_hat.values, ens.n_states, 1)
             ens = replace(ens, states=[*ens.states, rho])
         else:
             povm = sample_projective_measurement(cfg.d, rng)
             vals = np.hstack([vals, _table_values(ens.states, [povm], cfg.shots, rng)])
-            warm_primal = _pad(est.g_hat.values, est.g_hat.n, len(povm))
             ens = replace(ens, povms=[*ens.povms, povm])
         add_state_next = not add_state_next
         augmentations += 1
@@ -238,16 +220,6 @@ class Metrics:
     rank_tail: float
     data_block_error: float
     trace_true: float
-
-    def to_json(self) -> dict:
-        return {
-            "max_entry_error": self.max_entry_error,
-            "frobenius_error": self.frobenius_error,
-            "success": self.success,
-            "rank_tail": self.rank_tail,
-            "data_block_error": self.data_block_error,
-            "trace_true": self.trace_true,
-        }
 
 
 def evaluate(

@@ -130,19 +130,6 @@ class SolverReport:
     partial_steps: int = 0
     failed_partial_steps: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "objective": self.objective,
-            "converged": self.converged,
-            "seconds": self.seconds,
-            "rejected_steps": self.rejected_steps,
-            "partial_steps": self.partial_steps,
-            "failed_partial_steps": self.failed_partial_steps,
-        }
-
 
 _TINY = np.finfo(float).tiny
 
@@ -228,9 +215,7 @@ def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.
 
 
 def solve_trace_min(
-    prob: SdpProblem,
-    opts: SolverOptions | None = None,
-    warm_primal: np.ndarray | None = None,
+    prob: SdpProblem, opts: SolverOptions | None = None
 ) -> tuple[GramMatrix, SolverReport]:
     """Run the ADMM, Anderson-accelerated, until the fixed-point residual
     falls below tolerance.
@@ -267,10 +252,9 @@ def solve_trace_min(
     of its interval.
 
     Returns the spectral-box iterate z (exactly PSD with norm <= R) and a
-    report. ``warm_primal`` is the first point v (the dual starts at zero),
-    and it is clipped like any other. Without it the first point is v = 0,
-    which lies in the box: its clip is z = 0 without an eigendecomposition,
-    and that free evaluation is not counted as an iteration.
+    report. Every solve starts at v = 0, which lies in the box: its clip is
+    z = 0 without an eigendecomposition, and that free evaluation is not
+    counted as an iteration.
     Non-convergence within ``max_iters`` is not an exception: the last
     iterate is returned with ``converged=False``. Fixed inputs and
     iteration counts give bit-identical output.
@@ -282,14 +266,8 @@ def solve_trace_min(
     upper, weight, full = _svec_maps(n)
     at = full.take(kn.flat_ij)
     pin = _pin_rule(kn, at, weight.take(at))
-    if warm_primal is None:
-        v = np.zeros(upper.size)
-        z_mat = np.zeros((n, n))
-    else:
-        start = np.asarray(warm_primal, dtype=float)
-        if start.shape != (n, n):
-            raise ValueError("warm-start matrix must be n x n")
-        v = (0.5 * (start + start.T)).take(upper) * weight
+    v = np.zeros(upper.size)
+    z_mat = np.zeros((n, n))
     # The Anderson history stores differences of F(v) and of the residual
     # x - z in float32: a difference loses only relative precision there.
     df = np.empty((ANDERSON_MEMORY, upper.size), dtype=np.float32)
@@ -302,18 +280,17 @@ def solve_trace_min(
     warm = WarmSpectrum()
     rho = RHO
     t0 = time.perf_counter()
-    cold = int(warm_primal is None)  # the first point, v = 0, is its own clip
     z = v  # z_prev of the first point
     r_norm = np.inf
-    it = 0
-    for it in range(1, opts.max_iters + cold + 1):
+    # ``it`` counts clips; evaluation 0 is the free one of v = 0
+    for it in range(opts.max_iters + 1):
         z_prev = z
-        if it > cold:
+        if it:
             warm.tol = PARTIAL_TOL * r_norm
             z_mat = clip_spectrum((v / weight).take(full), radius, warm=warm)
             z = z_mat.take(upper)
             z *= weight
-        if it > 1 and (it - 1) % RHO_UPDATE_EVERY == 0:
+        if it and it % RHO_UPDATE_EVERY == 0:
             # Boyd-style residual balancing on the last point's residuals.
             # v - z is a normal of the box at z, so rescaling it keeps z the
             # clip of v. F changes with rho, so the history goes.
@@ -328,7 +305,7 @@ def solve_trace_min(
         pin(x)
         x -= z
         r_norm = math.sqrt(x @ x)
-        if it % RHO_UPDATE_EVERY == 0:
+        if (it + 1) % RHO_UPDATE_EVERY == 0:  # the point before a balancing
             step = z - z_prev
             s_norm = rho * math.sqrt(step @ step)
         if r_norm <= opts.primal_tol and rho * r_norm <= opts.dual_tol:
@@ -359,7 +336,7 @@ def solve_trace_min(
         last = (f, x, r_norm)
     converged = r_norm <= opts.primal_tol and rho * r_norm <= opts.dual_tol
     report = SolverReport(
-        iterations=it - cold,
+        iterations=it,
         primal_residual=r_norm,
         dual_residual=rho * r_norm,
         objective=float(np.trace(z_mat)),

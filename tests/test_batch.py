@@ -125,9 +125,11 @@ class TestRunBatch:
         spec_par = BatchSpec(
             templates=[quick_template()], trials_per_template=4, master_seed=3, jobs=2
         )
-        a, ra = run_batch(spec_serial)
-        b, rb = run_batch(spec_par)
+        calls = {1: [], 2: []}
+        a, ra = run_batch(spec_serial, progress=lambda *c: calls[1].append(c))
+        b, rb = run_batch(spec_par, progress=lambda *c: calls[2].append(c))
         assert a.to_json() == b.to_json()
+        assert calls[1] == calls[2] == [(i, 4) for i in range(1, 5)]
         for x, y in zip(ra, rb):
             assert x["seed"] == y["seed"]
             assert x["objective"] == y["objective"]

@@ -10,6 +10,7 @@ from gramscope.estimator import (
     evaluate,
     factor,
     gauge_distance,
+    solve_table,
     trial_config_from_json,
 )
 from gramscope.gram import GramMatrix, gram, realize
@@ -133,6 +134,46 @@ class TestEstimateEndToEnd:
         # no certification expected at this size; the data block must still
         # be reproduced within the interval width plus sampling noise
         assert m.data_block_error < 0.2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrialConfig(
+                d=2, n_states=5, n_measurements=5, seed=1, state_first=False,
+                solver=SolverOptions(max_iters=30000),
+            ),
+            TrialConfig(
+                d=2, n_states=5, n_measurements=5, seed=0, shots=10**6,
+                epsilon=5e-3, tau=1e-2, state_first=False,
+                solver=SolverOptions(max_iters=40_000),
+            ),
+        ],
+        ids=["asymptotic", "finite_shot"],
+    )
+    def test_augmented_trial_is_a_solve_of_its_final_table(self, cfg):
+        # every solve starts cold, so a grown trial's estimate is bit for
+        # bit the one-shot solve of its final table, as the CLI's data
+        # path runs it
+        est, _ = estimate(cfg)
+        assert est.augmentations > 0
+        again = solve_table(
+            est.table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver
+        )
+        assert np.array_equal(est.g_hat.values, again.g_hat.values)
+        assert est.certified == again.certified
+
+    def test_epsilon_applies_without_shots(self):
+        # epsilon widens the pins of an asymptotic trial as it widens those
+        # of a recorded table
+        cfg = TrialConfig(
+            d=2, n_states=4, n_measurements=4, seed=2, epsilon=0.05,
+            max_augmentations=0, solver=SolverOptions(max_iters=3000),
+        )
+        est, _ = estimate(cfg)
+        again = solve_table(est.table, 2, epsilon=0.05, solver=cfg.solver)
+        assert np.array_equal(est.g_hat.values, again.g_hat.values)
+        exact = solve_table(est.table, 2, solver=cfg.solver)
+        assert not np.array_equal(est.g_hat.values, exact.g_hat.values)
 
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("shots", [None, 1000, 10**6])

@@ -220,18 +220,6 @@ class TestSolveTraceMin:
         assert not report.converged
         assert report.iterations == 3
 
-    def test_warm_start_reaches_same_optimum(self):
-        ens = sample_ensemble(2, 4, 5, np.random.default_rng(6))
-        kn = knowledge_projective(born_table(ens), 2)
-        prob = SdpProblem(knowledge=kn, radius=r_qm(4, 5, 2))
-        opts = SolverOptions(max_iters=100_000)
-        g_hat, cold = solve_trace_min(prob, opts)
-        g_warm, warm = solve_trace_min(prob, opts, warm_primal=g_hat.values)
-        assert warm.converged
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        lam = np.linalg.eigvalsh(g_warm.values)
-        assert lam.min() >= -1e-9
-
     def test_iteration_is_one_eigendecomposition(self, monkeypatch):
         # every evaluated point, a rejected extrapolation included, clips
         # once, and the svec iterate is expanded to an exactly symmetric
@@ -251,11 +239,10 @@ class TestSolveTraceMin:
             _, report = solve_trace_min(prob, SolverOptions(max_iters=max_iters))
             assert len(calls) == report.iterations
         assert report.converged and report.rejected_steps > 0
-        assert report.to_json()["rejected_steps"] == report.rejected_steps
 
     def test_cold_start_skips_only_its_own_clip(self, monkeypatch):
-        # v = 0 is its own clip and costs no eigendecomposition; a caller's
-        # warm start may lie outside the box, so it is clipped
+        # v = 0 is its own clip and costs no eigendecomposition, so the one
+        # counted clip is of the step after it
         calls = []
 
         def counting(m, hi, **kwargs):
@@ -263,15 +250,9 @@ class TestSolveTraceMin:
             return clip_spectrum(m, hi, **kwargs)
 
         monkeypatch.setattr("gramscope.solver.clip_spectrum", counting)
-        prob = instance(2, 5, 6, seed=10)
-        start = np.full((prob.n, prob.n), 0.5)
-        for warm_primal in (None, start):
-            calls.clear()
-            _, report = solve_trace_min(prob, SolverOptions(max_iters=1), warm_primal=warm_primal)
-            assert report.iterations == len(calls) == 1
-            # the one clip is of the warm start, or of the step after v = 0
-            assert np.array_equal(calls[0], start) == (warm_primal is not None)
-            assert np.any(calls[0])
+        _, report = solve_trace_min(instance(2, 5, 6, seed=10), SolverOptions(max_iters=1))
+        assert report.iterations == len(calls) == 1
+        assert np.any(calls[0])
 
     def test_stops_on_the_fixed_point_residual(self):
         # r = ||x - z|| bounds the infeasibility and rho * r the
@@ -311,8 +292,6 @@ class TestSolveTraceMin:
         g_hat, report = solve_trace_min(prob, opts)
         assert report.converged and report.partial_steps > 0
         assert report.iterations - report.partial_steps < full_steps_at_budget_one_tenth
-        assert report.to_json()["partial_steps"] == report.partial_steps
-        assert report.to_json()["failed_partial_steps"] == report.failed_partial_steps
         i, j, lo, _ = prob.knowledge.arrays()
         assert np.max(np.abs(g_hat.values[i, j] - lo)) <= opts.primal_tol
         monkeypatch.setattr("gramscope.hermitian.PARTIAL_FRACTION", 0.0)
