@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .estimator import TrialConfig, estimate, evaluate, trial_config_from_json
-from .solver import check_field_types
+from .synth import check_types, from_json
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class BatchSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        check_field_types(self, ints=["trials_per_template", "master_seed", "jobs"])
+        check_types(self)
         if self.trials_per_template < 1:
             raise ValueError("trials_per_template must be >= 1")
         if self.master_seed < 0:
@@ -42,16 +42,9 @@ class BatchSpec:
 
 def batch_spec_from_json(obj: dict) -> BatchSpec:
     """Build a batch spec from a JSON dict; unknown keys are rejected."""
-    obj = dict(obj)
-    spec = BatchSpec(
-        templates=[trial_config_from_json(t) for t in obj.pop("templates")],
-        trials_per_template=obj.pop("trials_per_template"),
-        master_seed=obj.pop("master_seed", 0),
-        jobs=obj.pop("jobs", 1),
+    return from_json(
+        BatchSpec, obj, templates=lambda ts: [trial_config_from_json(t) for t in ts]
     )
-    if obj:
-        raise ValueError(f"unknown batch spec key(s): {sorted(obj)}")
-    return spec
 
 
 def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:
@@ -63,7 +56,7 @@ def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:
 def run_trial(cfg: TrialConfig) -> dict:
     """Run one trial and flatten estimate + metrics into a JSON-ready record."""
     est, truth = estimate(cfg)
-    metrics = evaluate(est, truth, threshold=cfg.failure_threshold)
+    metrics = evaluate(est, truth)
     record = {
         "seed": cfg.seed,
         "certified": est.certified,

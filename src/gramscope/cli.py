@@ -13,21 +13,22 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
 from .estimator import estimate, evaluate, solve_table, trial_config_from_json
 from .gram import gram_to_json, projective_multiplicities
-from .solver import check_field_types, solver_options_from_json
+from .solver import SolverOptions
 from .synth import (
     born_table,
+    check_types,
     dump_json,
     ensemble_to_json,
     finite_shot_table,
+    from_json,
     sample_ensemble,
     table_from_json,
     table_to_csv,
@@ -83,41 +84,44 @@ def _apply_overrides(cfg: dict, args, keys) -> dict:
     return cfg
 
 
+@dataclass(frozen=True)
+class SynthConfig:
+    """The ``synth`` config: an ensemble and its table, exact or from
+    ``shots`` repetitions. ``n_outcomes`` defaults to ``d``; ``degeneracies``
+    is one multiplicity list shared by every measurement."""
+
+    d: int
+    n_states: int
+    n_measurements: int
+    n_outcomes: int | None = None
+    shots: int | None = None
+    seed: int = 0
+    degeneracies: list[int] | None = None
+    mixed_states: bool = False
+
+    def __post_init__(self):
+        check_types(self)
+        if min(self.d, self.n_states, self.n_measurements) < 1 or (
+            self.shots is not None and self.shots < 1
+        ):
+            raise ValueError("d, n_states, n_measurements and shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.degeneracies is not None and not all(isinstance(m, int) for m in self.degeneracies):
+            raise ValueError("degeneracies must be one list of multiplicities")
+        k_ = self.d if self.n_outcomes is None else self.n_outcomes
+        projective_multiplicities(self.d, k_, self.n_measurements, self.degeneracies)
+
+
 def cmd_synth(args) -> int:
     cfg = _apply_overrides(_load_json(args.config), args, {"seed", "shots"})
-    extra = set(cfg) - {
-        "d", "n_states", "n_measurements", "n_outcomes",
-        "shots", "seed", "degeneracies", "mixed_states",
-    }
-    if extra:
-        raise ConfigError(f"unknown synth config key(s): {sorted(extra)}")
     try:
-        c = SimpleNamespace(
-            d=cfg["d"],
-            n_states=cfg["n_states"],
-            n_measurements=cfg["n_measurements"],
-            n_outcomes=cfg.get("n_outcomes", cfg["d"]),
-            seed=cfg.get("seed", 0),
-            shots=cfg.get("shots"),
-            mixed_states=cfg.get("mixed_states", False),
-        )
-        ints = ["d", "n_states", "n_measurements", "n_outcomes", "seed"]
-        if c.shots is not None:
-            ints.append("shots")
-        check_field_types(c, ints=ints, flags=["mixed_states"])
-        degeneracies = cfg.get("degeneracies")
-        if min(c.d, c.n_states, c.n_measurements) < 1 or (c.shots is not None and c.shots < 1):
-            raise ValueError("d, n_states, n_measurements and shots must be >= 1")
-        if c.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {c.seed}")
-        if degeneracies is not None and not all(isinstance(m, int) for m in degeneracies):
-            raise ValueError("degeneracies must be one list of multiplicities")
-        projective_multiplicities(c.d, c.n_outcomes, c.n_measurements, degeneracies)
-    except (KeyError, TypeError, ValueError) as exc:
+        c = from_json(SynthConfig, cfg)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth config: {exc}") from exc
     rng = np.random.default_rng(c.seed)
     ens = sample_ensemble(
-        c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=degeneracies
+        c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=c.degeneracies
     )
     table = born_table(ens) if c.shots is None else finite_shot_table(ens, c.shots, rng)
     validate_table(table)
@@ -133,28 +137,35 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class DataConfig:
+    """The ``estimate`` config of a recorded table: ``data`` is the directory
+    holding its ``table.json``; the other fields are ``solve_table``'s."""
+
+    d: int
+    data: str
+    degeneracies: list | None = None
+    epsilon: float = 0.0
+    tau: float = 1e-4
+    solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        check_types(self)
+        if self.epsilon < 0 or self.tau <= 0:
+            raise ValueError(f"need epsilon >= 0 and tau > 0, got {self.epsilon}, {self.tau}")
+
+
 def _estimate_from_data(cfg: dict, out: Path) -> int:
     """Single solve + certify on a previously recorded table (no ground
     truth, no augmentation loop)."""
-    extra = set(cfg) - {"d", "data", "degeneracies", "epsilon", "tau", "solver"}
-    if extra:
-        raise ConfigError(f"unknown estimate-from-data config key(s): {sorted(extra)}")
     try:
-        table = table_from_json(_load_json(str(Path(cfg["data"]) / "table.json")))
+        c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
+        table = table_from_json(_load_json(str(Path(c.data) / "table.json")))
         validate_table(table)
-        values = SimpleNamespace(
-            d=cfg["d"], epsilon=cfg.get("epsilon", 0.0), tau=cfg.get("tau", 1e-4)
-        )
-        check_field_types(values, ints=["d"], reals=["epsilon", "tau"])
-        d, epsilon, tau = values.d, values.epsilon, values.tau
-        degeneracies = cfg.get("degeneracies")
-        projective_multiplicities(d, table.n_outcomes, table.n_measurements, degeneracies)
-        if epsilon < 0 or tau <= 0:
-            raise ValueError(f"need epsilon >= 0 and tau > 0, got {epsilon}, {tau}")
-        solver = solver_options_from_json(cfg.get("solver", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        projective_multiplicities(c.d, table.n_outcomes, table.n_measurements, c.degeneracies)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimate config or table: {exc}") from exc
-    est = solve_table(table, d, degeneracies, epsilon, tau, solver)
+    est = solve_table(table, c.d, c.degeneracies, c.epsilon, c.tau, c.solver)
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
@@ -180,7 +191,7 @@ def cmd_estimate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
     est, truth = estimate(trial)
-    metrics = evaluate(est, truth, threshold=trial.failure_threshold)
+    metrics = evaluate(est, truth)
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
@@ -209,7 +220,7 @@ def cmd_batch(args) -> int:
         obj["master_seed"] = obj.pop("seed")
     try:
         spec = batch_spec_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad batch spec: {exc}") from exc
     out = Path(args.out)
     (out / "trials").mkdir(parents=True, exist_ok=True)
@@ -236,6 +247,8 @@ def cmd_batch(args) -> int:
 def cmd_check_theory(args) -> int:
     if not 1 <= args.n <= MAX_BRUTEFORCE_N:
         raise ConfigError(f"brute-force checks need 1 <= n <= {MAX_BRUTEFORCE_N}, got {args.n}")
+    if args.trials < 1 or args.seed < 0:
+        raise ConfigError(f"need trials >= 1 and seed >= 0, got {args.trials}, {args.seed}")
     results = run_all_checks(args.n, args.trials, args.seed)
     for name, res in results.items():
         if name == "ok":

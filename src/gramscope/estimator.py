@@ -3,14 +3,15 @@
 A trial samples a hidden ensemble, pins the projective knowledge on the
 observed table, runs the trace-minimization completion, and checks the
 singular-value tail of the estimate against the rank of the data table.
-While the certificate fails and budget remains, one state or one
-measurement is added (state first, alternating) and the enlarged table is
-solved afresh, exactly as ``solve_table`` solves a recorded one.
+While a converged solve fails the certificate and budget remains, one
+state or one measurement is added (state first, alternating) and the
+enlarged table is solved afresh, exactly as ``solve_table`` solves a
+recorded one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,13 +31,14 @@ from .solver import (
     SdpProblem,
     SolverOptions,
     SolverReport,
-    check_field_types,
     solve_trace_min,
 )
 from .synth import (
     DataTable,
     Ensemble,
     born_probabilities,
+    check_types,
+    from_json,
     sample_ensemble,
     sample_projective_measurement,
     sample_pure_state,
@@ -59,7 +61,6 @@ class TrialConfig:
     n_measurements: int
     max_augmentations: int = 20
     tau: float = 1e-4
-    failure_threshold: float = 1e-3
     epsilon: float = 0.0
     shots: int | None = None
     seed: int = 0
@@ -68,21 +69,15 @@ class TrialConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        check_field_types(
-            self,
-            ints=["d", "n_states", "n_measurements", "max_augmentations", "seed"]
-            + ([] if self.shots is None else ["shots"]),
-            reals=["tau", "failure_threshold", "epsilon"],
-            flags=["state_first", "mixed_states"],
-        )
+        check_types(self)
         if self.d < 1 or self.n_states < 1 or self.n_measurements < 1:
             raise ValueError("d, n_states, n_measurements must be >= 1")
         if self.max_augmentations < 0 or self.seed < 0:
             raise ValueError("max_augmentations and seed must be >= 0")
         if not isinstance(self.solver, SolverOptions):
             raise ValueError(f"solver must be SolverOptions, got {self.solver!r}")
-        if self.tau <= 0 or self.failure_threshold <= 0:
-            raise ValueError("tau and failure_threshold must be > 0")
+        if self.tau <= 0:
+            raise ValueError("tau must be > 0")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.shots is not None and self.shots < 1:
@@ -105,16 +100,7 @@ class GramEstimate:
 
 def trial_config_from_json(obj: dict) -> TrialConfig:
     """Build a TrialConfig from a JSON dict; nested "solver" options allowed."""
-    from .solver import solver_options_from_json
-
-    obj = dict(obj)
-    solver = obj.pop("solver", None)
-    kwargs = {f.name: obj.pop(f.name) for f in fields(TrialConfig) if f.name in obj}
-    if obj:
-        raise ValueError(f"unknown trial config key(s): {sorted(obj)}")
-    if solver is not None:
-        kwargs["solver"] = solver_options_from_json(solver)
-    return TrialConfig(**kwargs)
+    return from_json(TrialConfig, obj, solver=lambda s: from_json(SolverOptions, s))
 
 
 def _table_values(
@@ -143,9 +129,9 @@ def solve_table(
 
     Pins the projective knowledge (data-block pins widened by ``epsilon``
     when it is nonzero), trace-minimizes the completion in the spectral box
-    of radius W + V*d, and certifies the estimate when its singular-value
-    tail beyond the numerical rank of the table is at most ``tau``. A
-    certified estimate carries its rank-r factor.
+    of radius W + V*d, and certifies the estimate when the solve converged
+    and its singular-value tail beyond the numerical rank of the table is
+    at most ``tau``. A certified estimate carries its rank-r factor.
     """
     kn = knowledge_projective(table, d, degeneracies)
     if epsilon:
@@ -153,7 +139,7 @@ def solve_table(
     target_rank = numerical_rank(table.values)
     prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, d))
     g_hat, report = solve_trace_min(prob, solver)
-    certified = rank_certificate(g_hat, target_rank, tau)
+    certified = rank_certificate(g_hat, target_rank, tau) and report.converged
     return GramEstimate(
         g_hat=g_hat,
         certified=certified,
@@ -172,9 +158,11 @@ def estimate(
     ground-truth ensemble for evaluation.
 
     Each step is one ``solve_table`` on the current table, so the result
-    is exactly what ``solve_table`` gives on the final table. An exhausted
-    augmentation budget yields ``certified=False`` rather than an
-    exception; solver non-convergence is visible in the report.
+    is exactly what ``solve_table`` gives on the final table. A solve that
+    stops at its iteration cap is never certified, and it ends the trial
+    rather than start a larger solve under the same cap. An unconverged
+    solve or an exhausted augmentation budget yields ``certified=False``
+    rather than an exception.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     ens = sample_ensemble(
@@ -193,7 +181,7 @@ def estimate(
             shots=cfg.shots,
         )
         est = solve_table(table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver)
-        if est.certified or augmentations >= cfg.max_augmentations:
+        if est.certified or not est.report.converged or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
             rho = sample_pure_state(cfg.d, rng)

@@ -19,14 +19,14 @@ of iterations. The loop keeps its iterates as weighted upper triangles
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gram import GramMatrix, Knowledge
 from .hermitian import WarmSpectrum, clip_spectrum
+from .synth import check_types
 
 #: Initial ADMM penalty rho.
 RHO = 1.0
@@ -50,28 +50,6 @@ ANDERSON_RIDGE = 1e-8
 #: iterations 2790 / 2789 / 2805 / 2836 and time 5.8 / 5.3 / 5.2 / 5.1 s.
 #: 0.3 is the smallest value past the knee; at d=2 no partial step runs.
 PARTIAL_TOL = 0.3
-
-
-def check_field_types(obj, ints=(), reals=(), flags=()) -> None:
-    """Raise ValueError naming the first field of ``obj`` whose value has
-    the wrong type: ``ints`` must be integers (not bool or float),
-    ``reals`` finite real numbers (not bool), ``flags`` bool."""
-    for name in ints:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name in reals:
-        value = getattr(obj, name)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    for name in flags:
-        value = getattr(obj, name)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +82,7 @@ class SolverOptions:
     dual_tol: float = 1e-8
 
     def __post_init__(self):
-        check_field_types(self, ints=["max_iters"], reals=["primal_tol", "dual_tol"])
+        check_types(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.primal_tol <= 0 or self.dual_tol <= 0:
@@ -352,11 +330,3 @@ def solve_trace_min(
         n_effects=n - kn.split if kn.split is not None else 0,
     )
     return g_hat, report
-
-
-def solver_options_from_json(obj: dict) -> SolverOptions:
-    """Build options from a JSON config dict; unknown keys are rejected."""
-    extra = set(obj) - {f.name for f in fields(SolverOptions)}
-    if extra:
-        raise ValueError(f"unknown solver option(s): {sorted(extra)}")
-    return SolverOptions(**obj)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -250,23 +251,49 @@ def table_to_json(table: DataTable) -> dict:
     }
 
 
-def _count(obj: dict, key: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def check_types(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass ``obj``
+    whose value does not match its annotation: ``int`` fields hold
+    integers (not bools), ``float`` fields finite real numbers (not bools)
+    and ``bool`` fields bools; ``X | None`` also admits None. Other
+    annotations are not checked."""
+    for f in fields(obj):
+        kind, _, rest = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if value is None and rest == "None":
+            continue
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+
+
+def from_json(cls, obj: dict, **nested):
+    """Build the dataclass ``cls`` from a JSON dict. A key that is not a
+    field of ``cls`` raises ValueError naming it; ``nested`` maps a field
+    name to the function that builds its value from its JSON."""
+    extra = set(obj) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {cls.__name__} key(s): {sorted(extra)}")
+    kwargs = dict(obj)
+    for name, build in nested.items():
+        if name in kwargs:
+            kwargs[name] = build(kwargs[name])
+    return cls(**kwargs)
 
 
 def table_from_json(obj: dict) -> DataTable:
-    """Inverse of ``table_to_json``; a count that is not an integer (a
-    float or a bool) raises ValueError naming its key."""
-    return DataTable(
-        values=np.array(obj["values"], dtype=float),
-        n_states=_count(obj, "n_states"),
-        n_measurements=_count(obj, "n_measurements"),
-        n_outcomes=_count(obj, "n_outcomes"),
-        shots=None if obj["shots"] is None else _count(obj, "shots"),
-    )
+    """Inverse of ``table_to_json``; an unknown key or a count that is not
+    an integer (a float or a bool) raises ValueError naming its key."""
+    table = from_json(DataTable, obj, values=lambda v: np.array(v, dtype=float))
+    check_types(table)
+    return table
 
 
 def table_to_csv(table: DataTable) -> str:

@@ -296,3 +296,9 @@ class TestCheckTheory:
 
     def test_large_n_is_config_error(self):
         assert main(["check-theory", "--n", "9", "--trials", "5"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-1"], ["--seed", "-1"]])
+    def test_bad_trials_or_seed_is_config_error(self, flags, capsys):
+        # --trials 0 would print "pass" without checking anything
+        assert main(["check-theory", "--n", "3", *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""

@@ -105,6 +105,27 @@ class TestEstimateEndToEnd:
         assert est.augmentations == 0
         assert est.factor_matrix is None
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_unconverged_solve_is_not_certified_and_ends_trial(self, seed):
+        # criterion-9 trials cut at 20 iterations: the singular-value tail
+        # alone passes at 0 augmentations for seeds 1 and 3, after 2 for seed 0
+        cfg = TrialConfig(
+            d=2,
+            n_states=5,
+            n_measurements=5,
+            seed=seed,
+            shots=10**6,
+            epsilon=5e-3,
+            tau=1e-2,
+            state_first=False,
+            solver=SolverOptions(max_iters=20),
+        )
+        est, _ = estimate(cfg)
+        assert not est.report.converged
+        assert not est.certified
+        assert est.augmentations == 0
+        assert est.factor_matrix is None
+
     def test_same_seed_same_result(self):
         cfg = TrialConfig(
             d=2,

@@ -21,9 +21,8 @@ from gramscope.solver import (
     project_knowledge,
     prox_trace_plus_knowledge,
     solve_trace_min,
-    solver_options_from_json,
 )
-from gramscope.synth import born_table, sample_ensemble
+from gramscope.synth import born_table, from_json, sample_ensemble
 from gramscope.theory import rank_conjugate
 
 
@@ -361,9 +360,9 @@ class TestRankConjugate:
 
 class TestSolverOptionsJson:
     def test_roundtrip(self):
-        opts = solver_options_from_json({"max_iters": 10, "primal_tol": 1e-6})
+        opts = from_json(SolverOptions, {"max_iters": 10, "primal_tol": 1e-6})
         assert opts.max_iters == 10 and opts.primal_tol == 1e-6
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
-            solver_options_from_json({"maxiters": 10})
+            from_json(SolverOptions, {"maxiters": 10})
