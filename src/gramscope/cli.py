@@ -67,33 +67,35 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _apply_overrides(cfg: dict, args, keys) -> dict:
+def _apply_overrides(cfg: dict, args) -> dict:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
     cfg = dict(cfg)
     for key in ("seed", "shots", "epsilon", "tau", "jobs"):
-        if key in keys and getattr(args, key, None) is not None:
+        if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    if "max-iters" in keys or "tol" in keys:
-        solver = dict(cfg.get("solver", {}))
-        if getattr(args, "max_iters", None) is not None:
-            solver["max_iters"] = args.max_iters
-        if getattr(args, "tol", None) is not None:
-            solver["primal_tol"] = args.tol
-            solver["dual_tol"] = args.tol
-        if solver:
-            cfg["solver"] = solver
+    max_iters, tol = getattr(args, "max_iters", None), getattr(args, "tol", None)
+    if max_iters is not None or tol is not None:
+        solver = cfg.get("solver", {})
+        if not isinstance(solver, dict):
+            raise ConfigError(f"solver must be a JSON object, got {solver!r}")
+        solver = cfg["solver"] = dict(solver)
+        if max_iters is not None:
+            solver["max_iters"] = max_iters
+        if tol is not None:
+            solver["primal_tol"] = solver["dual_tol"] = tol
     return cfg
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     """The ``synth`` config: an ensemble and its table, exact or from
-    ``shots`` repetitions. ``n_outcomes`` defaults to ``d``; ``degeneracies``
-    is one multiplicity list shared by every measurement."""
+    ``shots`` repetitions. ``degeneracies`` is one multiplicity list shared
+    by every measurement; each measurement has d outcomes without it."""
 
     d: int
     n_states: int
     n_measurements: int
-    n_outcomes: int | None = None
     shots: int | None = None
     seed: int = 0
     degeneracies: list[int] | None = None
@@ -107,14 +109,12 @@ class SynthConfig:
             raise ValueError("d, n_states, n_measurements and shots must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.degeneracies is not None and not all(isinstance(m, int) for m in self.degeneracies):
-            raise ValueError("degeneracies must be one list of multiplicities")
-        k_ = self.d if self.n_outcomes is None else self.n_outcomes
-        projective_multiplicities(self.d, k_, self.n_measurements, self.degeneracies)
+        if self.degeneracies is not None:  # one pattern, checked as one measurement's
+            projective_multiplicities(self.d, len(self.degeneracies), 1, [self.degeneracies])
 
 
 def cmd_synth(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args, {"seed", "shots"})
+    cfg = _apply_overrides(_load_json(args.config), args)
     try:
         c = from_json(SynthConfig, cfg)
     except (TypeError, ValueError) as exc:
@@ -178,11 +178,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _apply_overrides(
-        _load_json(args.config),
-        args,
-        {"seed", "shots", "epsilon", "tau", "max-iters", "tol"},
-    )
+    cfg = _apply_overrides(_load_json(args.config), args)
     out = Path(args.out)
     if "data" in cfg:
         return _estimate_from_data(cfg, out)
@@ -215,7 +211,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    obj = _apply_overrides(_load_json(args.config), args, {"seed", "jobs"})
+    obj = _apply_overrides(_load_json(args.config), args)
     if "seed" in obj:  # flag name maps onto the batch master seed
         obj["master_seed"] = obj.pop("seed")
     try:

@@ -2,7 +2,7 @@
 
 A trial samples a hidden ensemble, pins the projective knowledge on the
 observed table, runs the trace-minimization completion, and checks the
-singular-value tail of the estimate against the rank of the data table.
+|eigenvalue| tail of the estimate against the rank of the data table.
 While a converged solve fails the certificate and budget remains, one
 state or one measurement is added (state first, alternating) and the
 enlarged table is solved afresh, exactly as ``solve_table`` solves a
@@ -130,7 +130,7 @@ def solve_table(
     Pins the projective knowledge (data-block pins widened by ``epsilon``
     when it is nonzero), trace-minimizes the completion in the spectral box
     of radius W + V*d, and certifies the estimate when the solve converged
-    and its singular-value tail beyond the numerical rank of the table is
+    and its |eigenvalue| tail beyond the numerical rank of the table is
     at most ``tau``. A certified estimate carries its rank-r factor.
     """
     kn = knowledge_projective(table, d, degeneracies)
@@ -231,7 +231,7 @@ def evaluate(
         max_entry_error=max_err,
         frobenius_error=float(np.linalg.norm(diff)),
         success=max_err < threshold,
-        rank_tail=rank_tail(est.g_hat.values, est.target_rank),
+        rank_tail=rank_tail(est.g_hat, est.target_rank),
         data_block_error=float(np.max(np.abs(est.g_hat.data_block - g_true.data_block))),
         trace_true=float(np.trace(g_true.values)),
     )
@@ -239,15 +239,15 @@ def evaluate(
 
 def factor(g_hat: GramMatrix, rank: int) -> np.ndarray:
     """Rank-r factor P with P^T P the best rank-r PSD approximation of the
-    estimate, from its top-r eigenpairs. Any two valid factors differ by a
-    left orthogonal transformation."""
+    estimate, from the top-r pairs of its spectrum. Any two valid factors
+    differ by a left orthogonal transformation."""
     if not 1 <= rank <= g_hat.n:
         raise ValueError(f"rank must be in [1, {g_hat.n}], got {rank}")
-    lam, u = np.linalg.eigh(g_hat.values)  # ascending: the top r pairs are last
-    top = lam[-rank:][::-1]
+    lam, u = g_hat.spectrum
+    top = lam[:rank]
     if top.min() < -1e-8:
         raise ValueError(f"estimate is not PSD enough to factor (lambda={top.min():.3e})")
-    return np.sqrt(np.clip(top, 0.0, None))[:, None] * u[:, -rank:][:, ::-1].T
+    return np.sqrt(np.clip(top, 0.0, None))[:, None] * u[:, :rank].T
 
 
 def gauge_distance(p_a: np.ndarray, p_b: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +29,6 @@ class Realization:
     def p(self) -> np.ndarray:
         return np.hstack([self.p_states, self.p_effects])
 
-    @property
-    def n_states(self) -> int:
-        return self.p_states.shape[1]
-
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -48,6 +45,13 @@ class GramMatrix:
     @property
     def data_block(self) -> np.ndarray:
         return self.values[: self.n_states, self.n_states :]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues in descending order and their eigenvectors as
+        columns, from one ``eigh`` of ``values`` made on first use."""
+        lam, u = np.linalg.eigh(self.values)
+        return lam[::-1], u[:, ::-1]
 
 
 #: One pin: G[i, j] = G[j, i] lies in [lo, hi], with i <= j. An exact pin
@@ -115,8 +119,8 @@ def realize(ens: Ensemble, basis: HermBasis) -> Realization:
 def gram(real: Realization) -> GramMatrix:
     """Gram matrix G = P^T P of a realization. numpy forms P^T P by a
     symmetric rank-k update, so G is exactly symmetric."""
-    p = real.p
-    return GramMatrix(values=p.T @ p, n_states=real.n_states, n_effects=real.p_effects.shape[1])
+    p, w_ = real.p, real.p_states.shape[1]
+    return GramMatrix(values=p.T @ p, n_states=w_, n_effects=p.shape[1] - w_)
 
 
 def r_qm(n_states: int, n_measurements: int, d: int) -> float:
@@ -217,20 +221,20 @@ def numerical_rank(m: np.ndarray, rel_tol: float = 1e-6) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def rank_tail(m: np.ndarray, rank: int) -> float:
-    """l2 norm of the singular values beyond index ``rank``."""
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    return float(np.linalg.norm(s[rank:]))
+def rank_tail(g: GramMatrix, rank: int) -> float:
+    """l2 norm of all but the ``rank`` largest |eigenvalues| (singular values)."""
+    mags = np.sort(np.abs(g.spectrum[0]))[::-1]
+    return float(np.linalg.norm(mags[rank:]))
 
 
 def rank_certificate(g_hat: GramMatrix, target_rank: int, tau: float = 1e-4) -> bool:
-    """True iff the singular-value tail of the estimate beyond ``target_rank``
+    """True iff the |eigenvalue| tail of the estimate beyond ``target_rank``
     has l2 norm at most ``tau``."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     if not 0 <= target_rank <= g_hat.n:
         raise ValueError(f"target rank {target_rank} out of range for n={g_hat.n}")
-    return rank_tail(g_hat.values, target_rank) <= tau
+    return rank_tail(g_hat, target_rank) <= tau
 
 
 # ---------------------------------------------------------------------------

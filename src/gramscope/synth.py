@@ -131,14 +131,11 @@ def sample_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def sample_mixed_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random full- or fixed-rank density matrix rho = A A^dag / tr(A A^dag)."""
+def sample_mixed_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix rho = A A^dag / tr(A A^dag)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    r = d if rank is None else rank
-    if not 1 <= r <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {r}")
-    a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
@@ -278,6 +275,8 @@ def from_json(cls, obj: dict, **nested):
     """Build the dataclass ``cls`` from a JSON dict. A key that is not a
     field of ``cls`` raises ValueError naming it; ``nested`` maps a field
     name to the function that builds its value from its JSON."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
     extra = set(obj) - {f.name for f in fields(cls)}
     if extra:
         raise ValueError(f"unknown {cls.__name__} key(s): {sorted(extra)}")

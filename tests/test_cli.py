@@ -55,6 +55,7 @@ class TestSynth:
         assert table["shots"] == 10
 
     def test_k_mismatch_is_config_error(self, tmp_path):
+        # K is d, or the length of degeneracies, so n_outcomes is no synth key
         cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "n_outcomes": 3})
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
@@ -210,6 +211,18 @@ class TestEstimate:
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", ["trial", "data"])
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-6"]], ids=["no_flags", "tol"])
+    def test_solver_not_an_object_is_config_error(self, tmp_path, capsys, path, flags):
+        # a null solver must not crash the flag overrides or fall back to
+        # the defaults, whether or not --tol writes into it
+        base = EST_CFG if path == "trial" else {"d": 2, "data": str(self._recorded(tmp_path))}
+        cfg = write_json(tmp_path / "e.json", {**base, "solver": None})
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
+        assert "solver" in capsys.readouterr().err.lower()
+        assert not out.exists()
 
     def test_error_inside_solve_is_not_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

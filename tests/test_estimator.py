@@ -220,6 +220,50 @@ class TestEstimateEndToEnd:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrialConfig(
+                d=2, n_states=5, n_measurements=5, seed=0, shots=10**6,
+                epsilon=5e-3, tau=1e-2, state_first=False,
+                solver=SolverOptions(max_iters=40_000),
+            ),
+            TrialConfig(
+                d=2, n_states=5, n_measurements=5, seed=0, max_augmentations=0,
+                solver=SolverOptions(max_iters=4000),
+            ),
+        ],
+        ids=["certified_after_augmenting", "uncertified"],
+    )
+    def test_estimate_is_decomposed_once(self, cfg, monkeypatch):
+        # the certificate, the factor and the metrics all read one spectrum
+        # of G_hat: from the last solve's return to the end of evaluate,
+        # numpy decomposes exactly one matrix, once, and never by SVD
+        import gramscope.estimator as estimator
+
+        calls = []
+        solve = estimator.solve_trace_min
+
+        def solve_then_watch(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            calls.clear()
+            return out
+
+        def watch(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(estimator, "solve_trace_min", solve_then_watch)
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, watch(name, getattr(np.linalg, name)))
+        est, truth = estimate(cfg)
+        evaluate(est, truth)
+        assert (est.factor_matrix is not None) == (cfg.shots is not None)
+        assert calls == [("eigh", (est.g_hat.n, est.g_hat.n))]
+
     def test_perfect_estimate_scores_zero(self):
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(0))
         g = gram(realize(ens, herm_basis(2)))

@@ -199,9 +199,15 @@ class TestRankTools:
             assert numerical_rank(born_table(ens).values) == d * d
 
     def test_rank_tail(self):
-        m = np.diag([5.0, 3.0, 1.0])
+        from gramscope.gram import GramMatrix
+
+        m = GramMatrix(values=np.diag([5.0, 3.0, 1.0]), n_states=1, n_effects=2)
         assert rank_tail(m, 1) == pytest.approx(np.hypot(3.0, 1.0))
         assert rank_tail(m, 3) == 0.0
+        # the tail is taken over |eigenvalues|, so -3 ranks above 1
+        indefinite = GramMatrix(values=np.diag([5.0, -3.0, 1.0]), n_states=1, n_effects=2)
+        assert rank_tail(indefinite, 1) == pytest.approx(np.hypot(3.0, 1.0))
+        assert rank_tail(indefinite, 2) == pytest.approx(1.0)
 
     def test_certificate_on_true_gram(self):
         from gramscope.gram import GramMatrix
