@@ -5,6 +5,7 @@ from .estimator import (
     GramEstimate,
     Metrics,
     TrialConfig,
+    born_table,
     estimate,
     evaluate,
     factor,
@@ -35,8 +36,6 @@ from .solver import (
 from .synth import (
     DataTable,
     Ensemble,
-    born_table,
-    finite_shot_table,
     haar_unitary,
     sample_ensemble,
     sample_projective_measurement,
@@ -64,7 +63,6 @@ __all__ = [
     "estimate",
     "evaluate",
     "factor",
-    "finite_shot_table",
     "gauge_distance",
     "gram",
     "haar_unitary",

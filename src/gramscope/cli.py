@@ -19,15 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
-from .estimator import estimate, evaluate, solve_table, trial_config_from_json
+from .estimator import born_table, estimate, evaluate, solve_table, trial_config_from_json
 from .gram import gram_to_json, projective_multiplicities
 from .solver import SolverOptions
 from .synth import (
-    born_table,
     check_types,
     dump_json,
     ensemble_to_json,
-    finite_shot_table,
     from_json,
     sample_ensemble,
     table_from_json,
@@ -71,7 +69,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
     cfg = dict(cfg)
-    for key in ("seed", "shots", "epsilon", "tau", "jobs"):
+    for key in ("seed", "master_seed", "shots", "epsilon", "tau", "jobs"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     max_iters, tol = getattr(args, "max_iters", None), getattr(args, "tol", None)
@@ -123,7 +121,7 @@ def cmd_synth(args) -> int:
     ens = sample_ensemble(
         c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=c.degeneracies
     )
-    table = born_table(ens) if c.shots is None else finite_shot_table(ens, c.shots, rng)
+    table = born_table(ens, c.shots, rng)
     validate_table(table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,8 +210,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_batch(args) -> int:
     obj = _apply_overrides(_load_json(args.config), args)
-    if "seed" in obj:  # flag name maps onto the batch master seed
-        obj["master_seed"] = obj.pop("seed")
     try:
         spec = batch_spec_from_json(obj)
     except (TypeError, ValueError) as exc:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="run a batch of trials and summarize")
     p_batch.add_argument("--config", required=True)
     p_batch.add_argument("--out", required=True)
-    p_batch.add_argument("--seed", type=int)
+    p_batch.add_argument("--seed", type=int, dest="master_seed")
     p_batch.add_argument("--jobs", type=int)
     p_batch.set_defaults(func=cmd_batch)
 

@@ -4,9 +4,9 @@ A trial samples a hidden ensemble, pins the projective knowledge on the
 observed table, runs the trace-minimization completion, and checks the
 |eigenvalue| tail of the estimate against the rank of the data table.
 While a converged solve fails the certificate and budget remains, one
-state or one measurement is added (state first, alternating) and the
-enlarged table is solved afresh, exactly as ``solve_table`` solves a
-recorded one.
+state or one measurement is added (state first, alternating), drawn by
+``sample_ensemble`` like the trial's others, and the enlarged table is
+solved afresh, exactly as ``solve_table`` solves a recorded one.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .synth import (
     check_types,
     from_json,
     sample_ensemble,
-    sample_projective_measurement,
-    sample_pure_state,
 )
 
 
@@ -51,9 +49,10 @@ class TrialConfig:
 
     Measurements are projective and non-degenerate, so each has K = d
     outcomes. ``shots`` None means asymptotic (exact Born probabilities);
-    a finite value draws multinomial frequencies. A nonzero ``epsilon``
-    widens the data-block constraints into intervals, with or without
-    shots, as ``solve_table`` does.
+    a finite value draws the outcome frequencies of that many shots. A
+    nonzero ``epsilon`` widens the data-block constraints into intervals,
+    with or without shots, as ``solve_table`` does. Every state, the
+    added ones too, is mixed when ``mixed_states`` is set.
     """
 
     d: int
@@ -103,18 +102,26 @@ def trial_config_from_json(obj: dict) -> TrialConfig:
     return from_json(TrialConfig, obj, solver=lambda s: from_json(SolverOptions, s))
 
 
-def _table_values(
-    states: list, povms: list, shots: int | None, rng: np.random.Generator
-) -> np.ndarray:
-    """W x (V*K) table of the given states and POVMs: clipped Born
-    probabilities, or with ``shots`` their multinomial frequencies, drawn
-    state by state."""
-    rows = []
-    for rho in states:
-        for povm in povms:
+def born_table(
+    ens: Ensemble, shots: int | None = None, rng: np.random.Generator | None = None
+) -> DataTable:
+    """W x (V*K) data table of an ensemble: entry (w, v*K + k) is the Born
+    probability p = tr(rho_w E_vk) clipped to [0, 1], or with ``shots`` the
+    frequency of outcome k in ``shots`` draws from p, each (state,
+    measurement) block drawn from ``rng`` in turn, state by state."""
+    if shots is not None and (shots < 1 or rng is None):
+        raise ValueError(f"a finite-shot table needs shots >= 1 and an rng, got {shots}, {rng}")
+    w_, v_, k_ = ens.n_states, ens.n_measurements, ens.n_outcomes
+    vals = np.empty((w_, v_ * k_))
+    for w, rho in enumerate(ens.states):
+        if rho.shape != (ens.dim, ens.dim):
+            raise ValueError(f"state {w} has shape {rho.shape}, expected ({ens.dim}, {ens.dim})")
+        for v, povm in enumerate(ens.povms):
             p = np.clip(born_probabilities(rho, povm), 0.0, 1.0)
-            rows.append(p if shots is None else rng.multinomial(shots, p / p.sum()) / shots)
-    return np.reshape(rows, (len(states), -1))
+            if shots is not None:
+                p = rng.multinomial(shots, p / p.sum()) / shots
+            vals[w, v * k_ : (v + 1) * k_] = p
+    return DataTable(values=vals, n_states=w_, n_measurements=v_, n_outcomes=k_, shots=shots)
 
 
 def solve_table(
@@ -168,29 +175,27 @@ def estimate(
     ens = sample_ensemble(
         cfg.d, cfg.n_states, cfg.n_measurements, rng, mixed=cfg.mixed_states
     )
-    vals = _table_values(ens.states, ens.povms, cfg.shots, rng)
+    table = born_table(ens, cfg.shots, rng)
 
     augmentations = 0
     add_state_next = cfg.state_first
     while True:
-        table = DataTable(
-            values=vals,
-            n_states=ens.n_states,
-            n_measurements=ens.n_measurements,
-            n_outcomes=ens.n_outcomes,
-            shots=cfg.shots,
-        )
         est = solve_table(table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver)
         if est.certified or not est.report.converged or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
-            rho = sample_pure_state(cfg.d, rng)
-            vals = np.vstack([vals, _table_values([rho], ens.povms, cfg.shots, rng)])
-            ens = replace(ens, states=[*ens.states, rho])
+            new = sample_ensemble(cfg.d, 1, 0, rng, mixed=cfg.mixed_states).states
+            rows = born_table(replace(ens, states=new), cfg.shots, rng).values
+            vals = np.vstack([table.values, rows])
+            ens = replace(ens, states=ens.states + new)
         else:
-            povm = sample_projective_measurement(cfg.d, rng)
-            vals = np.hstack([vals, _table_values(ens.states, [povm], cfg.shots, rng)])
-            ens = replace(ens, povms=[*ens.povms, povm])
+            new = sample_ensemble(cfg.d, 0, 1, rng).povms
+            cols = born_table(replace(ens, povms=new), cfg.shots, rng).values
+            vals = np.hstack([table.values, cols])
+            ens = replace(ens, povms=ens.povms + new)
+        table = replace(
+            table, values=vals, n_states=ens.n_states, n_measurements=ens.n_measurements
+        )
         add_state_next = not add_state_next
         augmentations += 1
 

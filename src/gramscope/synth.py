@@ -1,9 +1,10 @@
-"""Synthetic experiments: random ensembles and Born-rule data tables.
+"""Synthetic experiments: random ensembles, Born probabilities, and the
+serializers of ensembles and data tables.
 
 States are drawn uniformly (Haar) from the pure states; measurements are
 obtained by Haar-rotating a computational-basis projective measurement.
-Data tables hold outcome probabilities (asymptotic) or multinomial
-frequencies (finite shot count).
+Data tables hold outcome probabilities (asymptotic) or outcome
+frequencies (finite shot count); ``estimator.born_table`` builds them.
 """
 
 from __future__ import annotations
@@ -191,35 +192,6 @@ def sample_ensemble(
 def born_probabilities(rho: np.ndarray, povm: list[np.ndarray]) -> np.ndarray:
     """Outcome probabilities tr(rho E_k) for one state and one measurement."""
     return np.array([np.trace(rho @ e).real for e in povm])
-
-
-def born_table(ens: Ensemble) -> DataTable:
-    """Asymptotic data table: entry (w, (v,k)) = tr(rho_w E_vk)."""
-    w_, v_, k_ = ens.n_states, ens.n_measurements, ens.n_outcomes
-    vals = np.empty((w_, v_ * k_))
-    for w, rho in enumerate(ens.states):
-        if rho.shape[0] != ens.dim:
-            raise ValueError("state dimension does not match ensemble")
-        for v, povm in enumerate(ens.povms):
-            vals[w, v * k_ : (v + 1) * k_] = born_probabilities(rho, povm)
-    vals = np.clip(vals, 0.0, 1.0)
-    return DataTable(values=vals, n_states=w_, n_measurements=v_, n_outcomes=k_, shots=None)
-
-
-def finite_shot_table(ens: Ensemble, shots: int, rng: np.random.Generator) -> DataTable:
-    """Finite-repetition table: each (state, measurement) block is an
-    independent multinomial(shots, Born probabilities) / shots draw."""
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
-    asym = born_table(ens)
-    w_, v_, k_ = asym.n_states, asym.n_measurements, asym.n_outcomes
-    vals = np.empty_like(asym.values)
-    for w in range(w_):
-        for v in range(v_):
-            p = asym.values[w, v * k_ : (v + 1) * k_].copy()
-            p /= p.sum()
-            vals[w, v * k_ : (v + 1) * k_] = rng.multinomial(shots, p) / shots
-    return DataTable(values=vals, n_states=w_, n_measurements=v_, n_outcomes=k_, shots=shots)
 
 
 # ---------------------------------------------------------------------------

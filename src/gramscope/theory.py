@@ -52,9 +52,11 @@ def check_norm_bound(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> d
 
 
 def check_povm_norm_budget(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> dict:
-    """sum_k ||E_k||_F^2 <= d for POVMs, with equality exactly for
-    projective non-degenerate ones. Non-projective samples are mixtures of
-    projective measurements and degenerate projectors."""
+    """sum_k ||E_k||_F^2 <= d for POVMs, with equality for every projective
+    one: sum_k tr(E_k^2) <= sum_k tr(E_k) = d, with equality iff each
+    E_k^2 = E_k. The samples are non-degenerate and degenerate [d - 1, 1]
+    projective measurements, and (non-projective) mixtures of two
+    projective measurements."""
     equalities = 0
     for t in range(trials):
         d = int(rng.choice(dims))
@@ -63,9 +65,8 @@ def check_povm_norm_budget(trials: int, rng: np.random.Generator, dims=(2, 3, 4)
             povm = sample_projective_measurement(d, rng)
             projective = True
         elif kind == 1 and d > 1:
-            mults = [d - 1, 1] if d > 1 else [1]
-            povm = sample_projective_measurement(d, rng, degeneracies=mults)
-            projective = d == 2 and mults == [1, 1]
+            povm = sample_projective_measurement(d, rng, degeneracies=[d - 1, 1])
+            projective = True
         else:
             lam = float(rng.uniform(0.1, 0.9))
             a = sample_projective_measurement(d, rng)

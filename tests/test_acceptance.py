@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from gramscope.batch import BatchSpec, run_batch
-from gramscope.estimator import TrialConfig, estimate, evaluate, gauge_distance
+from gramscope.estimator import TrialConfig, born_table, estimate, evaluate, gauge_distance
 from gramscope.gram import numerical_rank, realize
 from gramscope.hermitian import herm_basis
 from gramscope.solver import SolverOptions
-from gramscope.synth import born_table, sample_ensemble
+from gramscope.synth import sample_ensemble
 from gramscope.theory import (
     check_envelope,
     check_norm_bound,

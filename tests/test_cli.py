@@ -277,13 +277,20 @@ class TestBatch:
         assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
-        # a misspelt "jobs" must not run the batch serially and succeed
+        # a misspelt "jobs" must not run the batch serially and succeed, and
+        # a "seed" key is no batch key: only the --seed flag sets master_seed
         with pytest.raises(ValueError, match="job"):
             batch_spec_from_json({**self.BATCH_CFG, "job": 4})
-        cfg = write_json(tmp_path / "cfg.json", {**self.BATCH_CFG, "job": 4})
-        assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "job" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        no_master = {"templates": [EST_CFG], "trials_per_template": 1, "seed": 7}
+        for obj, key in (
+            ({**self.BATCH_CFG, "job": 4}, "job"),
+            (no_master, "seed"),
+            ({**self.BATCH_CFG, "master_seed": 3, "seed": 7}, "seed"),
+        ):
+            cfg = write_json(tmp_path / "cfg.json", obj)
+            assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_mistyped_value_is_config_error(self, tmp_path, capsys):
         # a float trial count must not be truncated, a flag must not be

@@ -6,6 +6,7 @@ import pytest
 from gramscope.estimator import (
     GramEstimate,
     TrialConfig,
+    born_table,
     estimate,
     evaluate,
     factor,
@@ -16,7 +17,7 @@ from gramscope.estimator import (
 from gramscope.gram import GramMatrix, gram, realize
 from gramscope.hermitian import herm_basis
 from gramscope.solver import SolverOptions
-from gramscope.synth import born_table, finite_shot_table, sample_ensemble
+from gramscope.synth import sample_ensemble
 
 
 class TestTrialConfig:
@@ -126,6 +127,24 @@ class TestEstimateEndToEnd:
         assert est.augmentations == 0
         assert est.factor_matrix is None
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_augmented_mixed_trial_stays_mixed(self, seed):
+        # an added state is drawn like the trial's others
+        cfg = TrialConfig(
+            d=2,
+            n_states=3,
+            n_measurements=3,
+            seed=seed,
+            mixed_states=True,
+            max_augmentations=4,
+            solver=SolverOptions(max_iters=3000),
+        )
+        est, ens = estimate(cfg)
+        assert est.augmentations >= 1
+        assert ens.n_states > cfg.n_states
+        for rho in ens.states:
+            assert np.trace(rho @ rho).real < 1 - 1e-6
+
     def test_same_seed_same_result(self):
         cfg = TrialConfig(
             d=2,
@@ -199,8 +218,8 @@ class TestEstimateEndToEnd:
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("shots", [None, 1000, 10**6])
     def test_table_matches_synth(self, shots, mixed):
-        # the trial's first table is the one synth builds from the same
-        # draws: the ensemble, then the multinomials state by state
+        # the trial's first table is the one `gramscope synth` builds from
+        # the same draws: the ensemble, then the multinomials state by state
         for seed in range(10):
             cfg = TrialConfig(
                 d=2,
@@ -215,7 +234,7 @@ class TestEstimateEndToEnd:
             est, _ = estimate(cfg)
             rng = np.random.default_rng(seed)
             ens = sample_ensemble(2, 4, 3, rng, mixed=mixed)
-            table = born_table(ens) if shots is None else finite_shot_table(ens, shots, rng)
+            table = born_table(ens, shots, rng)
             assert np.array_equal(est.table.values, table.values)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gramscope.estimator import born_table
 from gramscope.gram import (
     Knowledge,
     gram,
@@ -15,7 +16,7 @@ from gramscope.gram import (
     realize,
 )
 from gramscope.hermitian import herm_basis
-from gramscope.synth import born_table, sample_ensemble
+from gramscope.synth import sample_ensemble
 
 
 class TestRealizeAndGram:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gramscope.estimator import born_table
 from gramscope.gram import (
     Knowledge,
     gram,
@@ -22,7 +23,7 @@ from gramscope.solver import (
     prox_trace_plus_knowledge,
     solve_trace_min,
 )
-from gramscope.synth import born_table, from_json, sample_ensemble
+from gramscope.synth import from_json, sample_ensemble
 from gramscope.theory import rank_conjugate
 
 

@@ -6,9 +6,8 @@ import io
 import numpy as np
 import pytest
 
+from gramscope.estimator import born_table
 from gramscope.synth import (
-    born_table,
-    finite_shot_table,
     haar_unitary,
     sample_ensemble,
     sample_mixed_state,
@@ -135,19 +134,19 @@ class TestFiniteShotTable:
         ens_like = sample_ensemble(2, 1, 1, np.random.default_rng(0))
         ens = type(ens_like)(dim=2, states=[ket0], povms=[[ket0, ket1]])
         for shots in (1, 7, 100):
-            table = finite_shot_table(ens, shots, np.random.default_rng(1))
+            table = born_table(ens, shots, np.random.default_rng(1))
             assert np.allclose(table.values, [[1.0, 0.0]])
 
     def test_single_shot_is_one_hot(self):
         ens = sample_ensemble(2, 3, 2, np.random.default_rng(10))
-        table = finite_shot_table(ens, 1, np.random.default_rng(11))
+        table = born_table(ens, 1, np.random.default_rng(11))
         blocks = table.values.reshape(3, 2, 2)
         assert np.all(np.sort(blocks, axis=2)[:, :, 0] == 0.0)
         assert np.all(np.sort(blocks, axis=2)[:, :, 1] == 1.0)
 
     def test_entries_are_frequency_multiples(self):
         ens = sample_ensemble(2, 2, 2, np.random.default_rng(12))
-        table = finite_shot_table(ens, 250, np.random.default_rng(13))
+        table = born_table(ens, 250, np.random.default_rng(13))
         assert np.allclose(table.values * 250, np.round(table.values * 250))
         blocks = table.values.reshape(2, 2, 2)
         assert np.all(blocks.sum(axis=2) == 1.0)
@@ -159,15 +158,23 @@ class TestFiniteShotTable:
         ens = type(ens_like)(dim=2, states=[ket0], povms=[[plus, np.eye(2) - plus]])
         rng = np.random.default_rng(14)
         hits = sum(
-            abs(finite_shot_table(ens, 10**6, rng).values[0, 0] - 0.5) < 0.002
+            abs(born_table(ens, 10**6, rng).values[0, 0] - 0.5) < 0.002
             for _ in range(100)
         )
         assert hits >= 99
 
     def test_rejects_zero_shots(self):
+        # and finite shots without an rng to draw them
         ens = sample_ensemble(2, 1, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            finite_shot_table(ens, 0, np.random.default_rng(0))
+        for shots, rng in ((0, np.random.default_rng(0)), (10, None)):
+            with pytest.raises(ValueError, match="shots >= 1 and an rng"):
+                born_table(ens, shots, rng)
+
+    def test_rejects_state_of_wrong_shape(self):
+        ens = sample_ensemble(2, 1, 1, np.random.default_rng(0))
+        for rho in (np.eye(3) / 3, np.ones((2, 3)) / 2):
+            with pytest.raises(ValueError, match="shape"):
+                born_table(type(ens)(dim=2, states=[rho], povms=ens.povms))
 
 
 class TestDeterminismAndSerialization:
@@ -176,8 +183,8 @@ class TestDeterminismAndSerialization:
         b = sample_ensemble(3, 4, 3, np.random.default_rng(42))
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(sa, sb)
-        ta = finite_shot_table(a, 100, np.random.default_rng(1))
-        tb = finite_shot_table(b, 100, np.random.default_rng(1))
+        ta = born_table(a, 100, np.random.default_rng(1))
+        tb = born_table(b, 100, np.random.default_rng(1))
         assert np.array_equal(ta.values, tb.values)
 
     def test_table_json_roundtrip(self):
