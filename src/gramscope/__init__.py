@@ -15,7 +15,6 @@ from .estimator import (
 from .gram import (
     GramMatrix,
     Knowledge,
-    Realization,
     gram,
     knowledge_projective,
     knowledge_relax,
@@ -24,7 +23,7 @@ from .gram import (
     rank_certificate,
     realize,
 )
-from .hermitian import HermBasis, clip_spectrum, herm_basis, vectorize
+from .hermitian import clip_spectrum, herm_basis, vectorize
 from .solver import (
     SdpProblem,
     SolverOptions,
@@ -50,10 +49,8 @@ __all__ = [
     "Ensemble",
     "GramEstimate",
     "GramMatrix",
-    "HermBasis",
     "Knowledge",
     "Metrics",
-    "Realization",
     "SdpProblem",
     "SolverOptions",
     "SolverReport",

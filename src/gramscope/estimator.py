@@ -24,9 +24,7 @@ from .gram import (
     r_qm,
     rank_certificate,
     rank_tail,
-    realize,
 )
-from .hermitian import HermBasis, herm_basis
 from .solver import (
     SdpProblem,
     SolverOptions,
@@ -140,6 +138,8 @@ def solve_table(
     and its |eigenvalue| tail beyond the numerical rank of the table is
     at most ``tau``. A certified estimate carries its rank-r factor.
     """
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     kn = knowledge_projective(table, d, degeneracies)
     if epsilon:
         kn = knowledge_relax(kn, epsilon)
@@ -218,14 +218,12 @@ class Metrics:
 def evaluate(
     est: GramEstimate,
     truth: Ensemble,
-    basis: HermBasis | None = None,
     threshold: float = 1e-3,
 ) -> Metrics:
     """Entrywise and Frobenius error of the estimate against the true Gram
     matrix, plus rank tail, data-block reproduction error and the true
     trace. ``success`` is max-entry error below ``threshold``."""
-    basis = herm_basis(truth.dim) if basis is None else basis
-    g_true = gram(realize(truth, basis))
+    g_true = gram(truth)
     if g_true.n != est.g_hat.n:
         raise ValueError(
             f"estimate is {est.g_hat.n} x {est.g_hat.n}, ground truth is {g_true.n} x {g_true.n}"

@@ -1,8 +1,10 @@
 """Gram-matrix model: realizations, a-priori knowledge, spectral bound, rank tools.
 
-A realization stacks the vectorized states and effects as columns of
-P = (P_st | P_m); the Gram matrix is G = P^T P and carries the data table
-as its upper-right W x (V*K) block. Knowledge objects pin Gram entries
+``realize(ens)`` stacks the vectorized states and effects as the columns
+of P = (P_st | P_m); ``gram(ens)`` is G = P^T P, which carries the data
+table as its upper-right W x (V*K) block. G fixes P only up to a rotation
+of Hermitian space, so the basis P is expanded in is the package's
+``herm_basis`` and no caller chooses one. Knowledge objects pin Gram entries
 to intervals [lo, hi] (exact values when lo == hi) before completion.
 """
 
@@ -14,20 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import HermBasis, vectorize
+from .hermitian import vectorize
 from .synth import DataTable, Ensemble
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Vectorized ensemble: P_st is d^2 x W, P_m is d^2 x (V*K)."""
-
-    p_states: np.ndarray
-    p_effects: np.ndarray
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.hstack([self.p_states, self.p_effects])
 
 
 @dataclass(frozen=True)
@@ -36,11 +26,14 @@ class GramMatrix:
 
     values: np.ndarray
     n_states: int
-    n_effects: int
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def n_effects(self) -> int:
+        return self.n - self.n_states
 
     @property
     def data_block(self) -> np.ndarray:
@@ -105,22 +98,18 @@ class Knowledge:
         return pins["i"], pins["j"], pins["lo"], pins["hi"]
 
 
-def realize(ens: Ensemble, basis: HermBasis) -> Realization:
-    """Vectorize an ensemble: column w of P_st is vec(rho_w), column v*K+k of
-    P_m is vec(E_vk)."""
-    if basis.dim != ens.dim:
-        raise ValueError(f"basis dim {basis.dim} does not match ensemble dim {ens.dim}")
-    p_states = np.column_stack([vectorize(rho, basis) for rho in ens.states])
-    cols = [vectorize(e, basis) for povm in ens.povms for e in povm]
-    p_effects = np.column_stack(cols)
-    return Realization(p_states=p_states, p_effects=p_effects)
+def realize(ens: Ensemble) -> np.ndarray:
+    """The d^2 x (W + V*K) realization P = (P_st | P_m) of an ensemble:
+    column w is vec(rho_w), column W + v*K + k is vec(E_vk)."""
+    effects = [e for povm in ens.povms for e in povm]
+    return np.column_stack([vectorize(m) for m in [*ens.states, *effects]])
 
 
-def gram(real: Realization) -> GramMatrix:
-    """Gram matrix G = P^T P of a realization. numpy forms P^T P by a
-    symmetric rank-k update, so G is exactly symmetric."""
-    p, w_ = real.p, real.p_states.shape[1]
-    return GramMatrix(values=p.T @ p, n_states=w_, n_effects=p.shape[1] - w_)
+def gram(ens: Ensemble) -> GramMatrix:
+    """Gram matrix G = P^T P of an ensemble's realization. numpy forms
+    P^T P by a symmetric rank-k update, so G is exactly symmetric."""
+    p = realize(ens)
+    return GramMatrix(values=p.T @ p, n_states=ens.n_states)
 
 
 def r_qm(n_states: int, n_measurements: int, d: int) -> float:

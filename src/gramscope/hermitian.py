@@ -2,14 +2,17 @@
 
 All downstream Gram-matrix machinery works on real vectors obtained by
 expanding Hermitian matrices in an orthonormal (Hilbert-Schmidt) basis.
-The basis is the generalized Gell-Mann matrices augmented with the
-normalized identity, ordered identity-first so that for d=2 the basis is
-(I, X, Y, Z) / sqrt(2).
+Gram matrices do not depend on which orthonormal basis is used, so the
+package fixes one: ``herm_basis(d)``, the generalized Gell-Mann matrices
+augmented with the normalized identity, ordered identity-first so that
+for d=2 the basis is (I, X, Y, Z) / sqrt(2). ``vectorize(h)`` expands a
+d x d matrix in ``herm_basis(d)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -17,33 +20,21 @@ import numpy as np
 HERMITICITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HermBasis:
-    """Orthonormal basis of the real vector space of d x d Hermitian matrices.
-
-    Attributes:
-        dim: Hilbert-space dimension d.
-        elements: array of shape (d*d, d, d), complex; tr(B_a B_b) = delta_ab.
-    """
-
-    dim: int
-    elements: np.ndarray
-
-    def __len__(self) -> int:
-        return self.elements.shape[0]
-
-
-def herm_basis(d: int) -> HermBasis:
-    """Build the generalized Gell-Mann basis of Herm(C^d), plus I/sqrt(d).
+@cache
+def herm_basis(d: int) -> np.ndarray:
+    """The generalized Gell-Mann basis of Herm(C^d), plus I/sqrt(d).
 
     Ordering: normalized identity, then symmetric off-diagonal pairs,
     antisymmetric off-diagonal pairs, and diagonal (Z-like) elements.
+    The array is cached per d and shared by every caller, so it is
+    read-only.
 
     Args:
         d: Hilbert-space dimension, d >= 1.
 
     Returns:
-        HermBasis with d^2 pairwise orthonormal Hermitian elements.
+        Complex array of shape (d*d, d, d) whose elements B_a satisfy
+        tr(B_a B_b) = delta_ab.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -65,7 +56,9 @@ def herm_basis(d: int) -> HermBasis:
         diag[l, l] = -float(l)
         diag /= np.sqrt(l * (l + 1))
         elements.append(diag)
-    return HermBasis(dim=d, elements=np.stack(elements))
+    basis = np.stack(elements)
+    basis.flags.writeable = False
+    return basis
 
 
 def hermiticity_residual(h: np.ndarray) -> float:
@@ -73,24 +66,25 @@ def hermiticity_residual(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
 
 
-def vectorize(h: np.ndarray, basis: HermBasis) -> np.ndarray:
-    """Expand a Hermitian matrix into real coefficients tr(B_a H).
+def vectorize(h: np.ndarray) -> np.ndarray:
+    """Expand a d x d Hermitian matrix into its real coefficients tr(B_a H)
+    in ``herm_basis(d)``.
 
     The map is a linear isometry from (Herm, Hilbert-Schmidt) to
     (R^{d^2}, Euclidean): dot products of coefficient vectors equal
     trace inner products.
 
     Raises:
-        ValueError: on dimension mismatch or symmetry residual > 1e-8.
+        ValueError: on a non-square matrix or symmetry residual > 1e-8.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (basis.dim, basis.dim):
-        raise ValueError(f"matrix shape {h.shape} does not match basis dim {basis.dim}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"matrix shape {h.shape} is not square")
     res = hermiticity_residual(h)
     if res > HERMITICITY_TOL:
         raise ValueError(f"input is not Hermitian (residual {res:.3e})")
     # tr(B H) with B Hermitian: sum over conj(B) * H.
-    return np.einsum("aij,ij->a", basis.elements.conj(), h).real
+    return np.einsum("aij,ij->a", herm_basis(h.shape[0]).conj(), h).real
 
 
 #: The partial step is tried only while the warm basis has at most this

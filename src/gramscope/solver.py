@@ -324,9 +324,5 @@ def solve_trace_min(
         partial_steps=warm.partial_steps,
         failed_partial_steps=warm.failed_partial_steps,
     )
-    g_hat = GramMatrix(
-        values=z_mat,
-        n_states=kn.split if kn.split is not None else n,
-        n_effects=n - kn.split if kn.split is not None else 0,
-    )
+    g_hat = GramMatrix(values=z_mat, n_states=kn.split if kn.split is not None else n)
     return g_hat, report

@@ -97,10 +97,13 @@ def validate_ensemble(ens: Ensemble, tol: float = 1e-10) -> None:
 
 
 def validate_table(table: DataTable, tol: float = 1e-9) -> None:
-    """Check range and per-measurement row-sum invariants of a data table."""
+    """Check finiteness, range and per-measurement row-sum invariants of a
+    data table."""
     vals = table.values
     if vals.shape != (table.n_states, table.n_measurements * table.n_outcomes):
         raise ValueError(f"table shape {vals.shape} inconsistent with metadata")
+    if not np.isfinite(vals).all():
+        raise ValueError("table entries must be finite numbers")
     if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
         raise ValueError("table entries outside [0, 1]")
     blocks = vals.reshape(table.n_states, table.n_measurements, table.n_outcomes)

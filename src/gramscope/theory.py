@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gram import gram, numerical_rank, r_qm, realize
-from .hermitian import clip_spectrum, herm_basis
+from .gram import gram, numerical_rank, r_qm
+from .hermitian import clip_spectrum
 from .synth import sample_ensemble, sample_projective_measurement
 
 
@@ -22,14 +22,13 @@ def check_norm_bound(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> d
     """||G|| <= W + V*d over random valid ensembles, plus ||G|| <= ||G||_F
     and the state-norm window [1/sqrt(d), 1]."""
     worst = -np.inf
-    bases = {d: herm_basis(d) for d in dims}
     for t in range(trials):
         d = int(rng.choice(dims))
         w = int(rng.integers(1, 7))
         v = int(rng.integers(1, 5))
         mixed = bool(rng.integers(0, 2))
         ens = sample_ensemble(d, w, v, rng, mixed=mixed)
-        g = gram(realize(ens, bases[d])).values
+        g = gram(ens).values
         opnorm = float(np.linalg.norm(g, 2))
         fro = float(np.linalg.norm(g))
         slack = opnorm - r_qm(w, v, d)

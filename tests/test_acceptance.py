@@ -10,8 +10,7 @@ import pytest
 
 from gramscope.batch import BatchSpec, run_batch
 from gramscope.estimator import TrialConfig, born_table, estimate, evaluate, gauge_distance
-from gramscope.gram import numerical_rank, realize
-from gramscope.hermitian import herm_basis
+from gramscope.gram import gram, numerical_rank, realize
 from gramscope.solver import SolverOptions
 from gramscope.synth import sample_ensemble
 from gramscope.theory import (
@@ -156,11 +155,8 @@ def test_criterion_07_relaxation_soundness(d2_replication, d2_certified_trials):
     gaps = [
         r["objective"] - r["trace_true"] for r in records if r["certified"]
     ]
-    basis = herm_basis(2)
     for est, truth in d2_certified_trials:
-        from gramscope.gram import gram
-
-        tr_true = float(np.trace(gram(realize(truth, basis)).values))
+        tr_true = float(np.trace(gram(truth).values))
         gaps.append(est.report.objective - tr_true)
     worst = max(gaps)
     ok = worst <= 1e-5
@@ -169,12 +165,11 @@ def test_criterion_07_relaxation_soundness(d2_replication, d2_certified_trials):
 
 
 def test_criterion_08_gauge_recovery(d2_certified_trials):
-    basis = herm_basis(2)
     worst_db = 0.0
     worst_gauge = 0.0
     for est, truth in d2_certified_trials:
         assert est.certified
-        metrics = evaluate(est, truth, basis)
+        metrics = evaluate(est, truth)
         p_hat = est.factor_matrix
         db_err = float(
             np.max(
@@ -184,7 +179,7 @@ def test_criterion_08_gauge_recovery(d2_certified_trials):
                 )
             )
         )
-        gd = gauge_distance(p_hat, realize(truth, basis).p)
+        gd = gauge_distance(p_hat, realize(truth))
         worst_db = max(worst_db, db_err)
         worst_gauge = max(worst_gauge, gd)
     ok = worst_db < 1e-3 and worst_gauge < 1e-2

@@ -200,8 +200,13 @@ class TestEstimate:
         data = self._recorded(tmp_path)
         recorded = json.loads((data / "table.json").read_text())
         row_sums = [[0.9] * 4 for _ in recorded["values"]]  # row sums 1.8
+        first, *rest = recorded["values"]
+        nan_cell = [[np.nan, *first[1:]], *rest]
+        null_cell = [[None, *first[1:]], *rest]  # a JSON null reads as NaN
         for key, value, message in (
             ("values", row_sums, "do not sum to 1"),
+            ("values", nan_cell, "finite"),
+            ("values", null_cell, "finite"),
             ("n_states", 3.7, "n_states"),
             ("n_outcomes", 2.0, "n_outcomes"),
             ("shots", True, "shots"),

@@ -15,7 +15,6 @@ from gramscope.estimator import (
     trial_config_from_json,
 )
 from gramscope.gram import GramMatrix, gram, realize
-from gramscope.hermitian import herm_basis
 from gramscope.solver import SolverOptions
 from gramscope.synth import sample_ensemble
 
@@ -215,6 +214,16 @@ class TestEstimateEndToEnd:
         exact = solve_table(est.table, 2, solver=cfg.solver)
         assert not np.array_equal(est.g_hat.values, exact.g_hat.values)
 
+    @pytest.mark.parametrize("tau", [0.0, -1e-4])
+    def test_solve_table_rejects_tau_before_solving(self, tau, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solve_trace_min ran before tau was checked")
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", never)
+        table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            solve_table(table, 2, tau=tau)
+
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("shots", [None, 1000, 10**6])
     def test_table_matches_synth(self, shots, mixed):
@@ -285,7 +294,7 @@ class TestEvaluate:
 
     def test_perfect_estimate_scores_zero(self):
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(0))
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         est = GramEstimate(
             g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
         )
@@ -296,7 +305,7 @@ class TestEvaluate:
 
     def test_size_mismatch_rejected(self):
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(1))
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         small = sample_ensemble(2, 2, 2, np.random.default_rng(2))
         est = GramEstimate(
             g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
@@ -308,7 +317,7 @@ class TestEvaluate:
 class TestFactorAndGauge:
     def test_factor_roundtrip(self):
         ens = sample_ensemble(2, 4, 4, np.random.default_rng(3))
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         p = factor(g, 4)
         assert p.shape == (4, g.n)
         assert np.max(np.abs(p.T @ p - g.values)) < 1e-9
@@ -316,15 +325,15 @@ class TestFactorAndGauge:
     def test_gauge_distance_zero_for_rotated_factor(self):
         rng = np.random.default_rng(4)
         ens = sample_ensemble(2, 4, 4, rng)
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         p = factor(g, 4)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         assert gauge_distance(q @ p, p) < 1e-8
 
     def test_gauge_distance_detects_difference(self):
         rng = np.random.default_rng(5)
-        a = gram(realize(sample_ensemble(2, 4, 4, rng), herm_basis(2)))
-        b = gram(realize(sample_ensemble(2, 4, 4, rng), herm_basis(2)))
+        a = gram(sample_ensemble(2, 4, 4, rng))
+        b = gram(sample_ensemble(2, 4, 4, rng))
         assert gauge_distance(factor(a, 4), factor(b, 4)) > 1e-2
 
     def test_factor_true_vs_recovered_gauge(self):
@@ -335,18 +344,18 @@ class TestFactorAndGauge:
         )
         est, truth = estimate(cfg)
         assert est.certified
-        p_true = realize(truth, herm_basis(1)).p
+        p_true = realize(truth)
         assert gauge_distance(est.factor_matrix, p_true) < 1e-4
 
     def test_factor_rejects_bad_rank(self):
-        g = GramMatrix(values=np.eye(3), n_states=1, n_effects=2)
+        g = GramMatrix(values=np.eye(3), n_states=1)
         with pytest.raises(ValueError):
             factor(g, 0)
         with pytest.raises(ValueError):
             factor(g, 4)
 
     def test_factor_rejects_indefinite(self):
-        g = GramMatrix(values=np.diag([-1.0, -2.0]), n_states=1, n_effects=1)
+        g = GramMatrix(values=np.diag([-1.0, -2.0]), n_states=1)
         with pytest.raises(ValueError):
             factor(g, 1)
 

@@ -15,42 +15,48 @@ from gramscope.gram import (
     rank_tail,
     realize,
 )
-from gramscope.hermitian import herm_basis
 from gramscope.synth import sample_ensemble
 
 
 class TestRealizeAndGram:
-    def test_gram_matches_trace_inner_products(self):
-        ens = sample_ensemble(2, 3, 2, np.random.default_rng(0))
-        basis = herm_basis(2)
-        g = gram(realize(ens, basis))
+    @pytest.mark.parametrize(
+        "d, w, v, kwargs",
+        [
+            (2, 3, 2, {}),
+            (2, 3, 2, {"mixed": True}),
+            (3, 2, 2, {"degeneracies": [2, 1]}),
+            (1, 2, 2, {}),
+        ],
+        ids=["pure_d2", "mixed_d2", "degenerate_d3", "d1"],
+    )
+    def test_gram_matches_trace_inner_products(self, d, w, v, kwargs):
+        ens = sample_ensemble(d, w, v, np.random.default_rng(0), **kwargs)
+        p, g = realize(ens), gram(ens)
         ops = list(ens.states) + [e for povm in ens.povms for e in povm]
+        assert p.shape == (d * d, len(ops))
+        assert (g.n_states, g.n_effects) == (w, len(ops) - w)
+        assert np.array_equal(g.values, p.T @ p)
         for i, a in enumerate(ops):
             for j, b in enumerate(ops):
                 assert g.values[i, j] == pytest.approx(np.trace(a @ b).real, abs=1e-10)
 
     def test_data_block_equals_born_table(self):
         ens = sample_ensemble(3, 4, 3, np.random.default_rng(1))
-        g = gram(realize(ens, herm_basis(3)))
+        g = gram(ens)
         table = born_table(ens)
         assert np.max(np.abs(g.data_block - table.values)) < 1e-10
 
     def test_gram_rank_at_most_d_squared(self):
         for d in (2, 3):
             ens = sample_ensemble(d, 3 * d * d, 2 * d * d, np.random.default_rng(d))
-            g = gram(realize(ens, herm_basis(d)))
+            g = gram(ens)
             assert numerical_rank(g.values) == d * d
 
     def test_gram_is_psd(self):
         ens = sample_ensemble(2, 5, 5, np.random.default_rng(2))
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         assert np.array_equal(g.values, g.values.T)
         assert np.linalg.eigvalsh(g.values).min() > -1e-10
-
-    def test_rejects_basis_mismatch(self):
-        ens = sample_ensemble(2, 1, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            realize(ens, herm_basis(3))
 
 
 class TestRQm:
@@ -66,7 +72,7 @@ class TestRQm:
                 w = int(rng.integers(1, 8))
                 v = int(rng.integers(1, 8))
                 ens = sample_ensemble(d, w, v, rng)
-                g = gram(realize(ens, herm_basis(d)))
+                g = gram(ens)
                 assert np.linalg.norm(g.values, 2) <= r_qm(w, v, d) + 1e-9
 
     def test_rejects_nonpositive(self):
@@ -85,7 +91,7 @@ class TestKnowledgeProjective:
 
     def test_truth_is_feasible(self):
         ens = sample_ensemble(3, 4, 3, np.random.default_rng(5))
-        g = gram(realize(ens, herm_basis(3)))
+        g = gram(ens)
         kn = knowledge_projective(born_table(ens), 3)
         i, j, lo, hi = kn.arrays()
         assert np.array_equal(lo, hi)
@@ -202,11 +208,11 @@ class TestRankTools:
     def test_rank_tail(self):
         from gramscope.gram import GramMatrix
 
-        m = GramMatrix(values=np.diag([5.0, 3.0, 1.0]), n_states=1, n_effects=2)
+        m = GramMatrix(values=np.diag([5.0, 3.0, 1.0]), n_states=1)
         assert rank_tail(m, 1) == pytest.approx(np.hypot(3.0, 1.0))
         assert rank_tail(m, 3) == 0.0
         # the tail is taken over |eigenvalues|, so -3 ranks above 1
-        indefinite = GramMatrix(values=np.diag([5.0, -3.0, 1.0]), n_states=1, n_effects=2)
+        indefinite = GramMatrix(values=np.diag([5.0, -3.0, 1.0]), n_states=1)
         assert rank_tail(indefinite, 1) == pytest.approx(np.hypot(3.0, 1.0))
         assert rank_tail(indefinite, 2) == pytest.approx(1.0)
 
@@ -214,14 +220,14 @@ class TestRankTools:
         from gramscope.gram import GramMatrix
 
         ens = sample_ensemble(2, 5, 5, np.random.default_rng(12))
-        g = gram(realize(ens, herm_basis(2)))
+        g = gram(ens)
         assert rank_certificate(g, 4, tau=1e-4)
         assert not rank_certificate(g, 3, tau=1e-4)
 
     def test_certificate_rejects_bad_args(self):
         from gramscope.gram import GramMatrix
 
-        g = GramMatrix(values=np.eye(3), n_states=1, n_effects=2)
+        g = GramMatrix(values=np.eye(3), n_states=1)
         with pytest.raises(ValueError):
             rank_certificate(g, 4)
         with pytest.raises(ValueError):

@@ -20,79 +20,77 @@ def random_hermitian(d, rng):
 class TestHermBasis:
     def test_d1_is_identity(self):
         basis = herm_basis(1)
-        assert len(basis) == 1
-        assert np.allclose(basis.elements[0], [[1.0]])
+        assert basis.shape == (1, 1, 1)
+        assert np.allclose(basis[0], [[1.0]])
 
     def test_d2_is_normalized_paulis(self):
-        basis = herm_basis(2)
         paulis = [
             np.eye(2),
             np.array([[0, 1], [1, 0]]),
             np.array([[0, -1j], [1j, 0]]),
             np.array([[1, 0], [0, -1]]),
         ]
-        for element, pauli in zip(basis.elements, paulis):
+        for element, pauli in zip(herm_basis(2), paulis):
             assert np.allclose(element, pauli / np.sqrt(2), atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_orthonormal_and_spanning(self, d):
         basis = herm_basis(d)
-        assert len(basis) == d * d
-        flat = basis.elements.reshape(d * d, d * d)
+        assert basis.shape == (d * d, d, d)
+        flat = basis.reshape(d * d, d * d)
         overlap = (flat.conj() @ flat.T).real
         assert np.max(np.abs(overlap - np.eye(d * d))) < 1e-12
         assert np.linalg.matrix_rank(flat) == d * d
 
     def test_d3_gram_is_identity(self):
         basis = herm_basis(3)
-        overlaps = np.array(
-            [
-                [np.trace(a @ b).real for b in basis.elements]
-                for a in basis.elements
-            ]
-        )
+        overlaps = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         assert np.max(np.abs(overlaps - np.eye(9))) < 1e-12
 
     def test_rejects_d0(self):
         with pytest.raises(ValueError):
             herm_basis(0)
 
+    def test_cached_and_read_only(self):
+        # every realization shares the cached array, so no caller may write it
+        basis = herm_basis(2)
+        assert herm_basis(2) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0, 0] = 0.0
+
 
 class TestVectorize:
     def test_identity_d2(self):
-        v = vectorize(np.eye(2), herm_basis(2))
+        v = vectorize(np.eye(2))
         assert np.allclose(v, [np.sqrt(2), 0, 0, 0], atol=1e-12)
 
     def test_ground_state_projector(self):
-        v = vectorize(np.diag([1.0, 0.0]), herm_basis(2))
+        v = vectorize(np.diag([1.0, 0.0]))
         assert np.allclose(v, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
 
     def test_preserves_trace_inner_product(self):
         rng = np.random.default_rng(7)
-        basis = herm_basis(3)
         for _ in range(20):
             a = random_hermitian(3, rng)
             b = random_hermitian(3, rng)
-            assert vectorize(a, basis) @ vectorize(b, basis) == pytest.approx(
+            assert vectorize(a) @ vectorize(b) == pytest.approx(
                 np.trace(a @ b).real, abs=1e-10
             )
 
     def test_is_isometry(self):
         rng = np.random.default_rng(8)
-        basis = herm_basis(4)
         for _ in range(20):
             a = random_hermitian(4, rng)
-            assert np.linalg.norm(vectorize(a, basis)) == pytest.approx(
-                np.linalg.norm(a), abs=1e-10
-            )
+            assert np.linalg.norm(vectorize(a)) == pytest.approx(np.linalg.norm(a), abs=1e-10)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            vectorize(np.array([[0, 1], [0, 0]], dtype=complex), herm_basis(2))
+            vectorize(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            vectorize(np.eye(3), herm_basis(2))
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="not square"):
+            vectorize(np.zeros(shape))
 
 
 class TestClipSpectrum:

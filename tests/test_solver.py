@@ -11,9 +11,8 @@ from gramscope.gram import (
     numerical_rank,
     r_qm,
     rank_certificate,
-    realize,
 )
-from gramscope.hermitian import clip_spectrum, herm_basis
+from gramscope.hermitian import clip_spectrum
 from gramscope.solver import (
     SdpProblem,
     SolverOptions,
@@ -329,7 +328,7 @@ class TestRecoveryFromData:
         # and the trace minimum sits at the true Gram matrix
         rng = np.random.default_rng(7)
         ens = sample_ensemble(2, 10, 10, rng)
-        g_true = gram(realize(ens, herm_basis(2)))
+        g_true = gram(ens)
         table = born_table(ens)
         kn = knowledge_projective(table, 2)
         prob = SdpProblem(knowledge=kn, radius=r_qm(10, 10, 2))
