@@ -1,9 +1,11 @@
 """Command-line front end: synth | estimate | batch | check-theory.
 
 Exit codes: 0 success, 1 check failure or program error (with a
-traceback), 2 config or input error, 3 I/O error. GRAMSCOPE_LOG in
-{error, warn, info, debug} controls verbosity. Flags override config-file
-values.
+traceback), 2 config or input error (a file that is not UTF-8 JSON, a
+config or recorded table its dataclass rejects), 3 I/O error.
+GRAMSCOPE_LOG in {error, warn, info, debug} controls verbosity. Flags
+override config-file values. Every JSON output file is written by
+``synth.dump_json``, a record as its dataclass fields.
 """
 
 from __future__ import annotations
@@ -13,26 +15,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
 from .estimator import born_table, estimate, evaluate, solve_table, trial_config_from_json
-from .gram import gram_to_json, projective_multiplicities
+from .gram import projective_multiplicities
 from .solver import SolverOptions
-from .synth import (
-    check_types,
-    dump_json,
-    ensemble_to_json,
-    from_json,
-    sample_ensemble,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
-    validate_table,
-)
+from .synth import DataTable, check_types, dump_json, from_json, sample_ensemble, table_to_csv
 from .theory import MAX_BRUTEFORCE_N, run_all_checks
 
 EXIT_OK = 0
@@ -59,9 +51,9 @@ def _setup_logging() -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -122,11 +114,10 @@ def cmd_synth(args) -> int:
         c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=c.degeneracies
     )
     table = born_table(ens, c.shots, rng)
-    validate_table(table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_json(ensemble_to_json(ens), out / "ensemble.json")
-    dump_json(table_to_json(table), out / "table.json")
+    dump_json(ens, out / "ensemble.json")
+    dump_json(table, out / "table.json")
     (out / "table.csv").write_text(table_to_csv(table))
     log.info(
         "wrote ensemble and table for d=%d, W=%d, V=%d to %s",
@@ -158,8 +149,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     truth, no augmentation loop)."""
     try:
         c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
-        table = table_from_json(_load_json(str(Path(c.data) / "table.json")))
-        validate_table(table)
+        table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
         projective_multiplicities(c.d, table.n_outcomes, table.n_measurements, c.degeneracies)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimate config or table: {exc}") from exc
@@ -167,11 +157,11 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
-        "report": asdict(est.report),
+        "report": est.report,
     }
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")
-    dump_json(gram_to_json(est.g_hat), out / "g_hat.json")
+    dump_json(est.g_hat, out / "g_hat.json")
     return EXIT_OK
 
 
@@ -190,15 +180,15 @@ def cmd_estimate(args) -> int:
         "certified": est.certified,
         "target_rank": est.target_rank,
         "augmentations": est.augmentations,
-        "report": asdict(est.report),
-        "metrics": asdict(metrics),
+        "report": est.report,
+        "metrics": metrics,
     }
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")
     if args.dump:
-        dump_json(gram_to_json(est.g_hat), out / "g_hat.json")
-        dump_json(ensemble_to_json(truth), out / "ground_truth.json")
-        dump_json(table_to_json(est.table), out / "table.json")
+        dump_json(est.g_hat, out / "g_hat.json")
+        dump_json(truth, out / "ground_truth.json")
+        dump_json(est.table, out / "table.json")
     log.info(
         "estimate: certified=%s augmentations=%d max_err=%.2e",
         est.certified,

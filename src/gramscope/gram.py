@@ -224,14 +224,3 @@ def rank_certificate(g_hat: GramMatrix, target_rank: int, tau: float = 1e-4) -> 
     if not 0 <= target_rank <= g_hat.n:
         raise ValueError(f"target rank {target_rank} out of range for n={g_hat.n}")
     return rank_tail(g_hat, target_rank) <= tau
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-def gram_to_json(g: GramMatrix) -> dict:
-    return {
-        "n_states": g.n_states,
-        "n_effects": g.n_effects,
-        "values": [[float(x) for x in row] for row in g.values],
-    }

@@ -1,10 +1,11 @@
-"""Synthetic experiments: random ensembles, Born probabilities, and the
-serializers of ensembles and data tables.
+"""Synthetic experiments, data tables, and the JSON format of every record.
 
 States are drawn uniformly (Haar) from the pure states; measurements are
 obtained by Haar-rotating a computational-basis projective measurement.
 Data tables hold outcome probabilities (asymptotic) or outcome
-frequencies (finite shot count); ``estimator.born_table`` builds them.
+frequencies (finite shot count); ``estimator.born_table`` builds them, and
+a table checks itself when it is built. A record's dataclass is its JSON
+format: ``from_json`` reads one and ``dump_json`` writes one by its fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -47,12 +49,20 @@ class Ensemble:
         return len(self.povms[0]) if self.povms else 0
 
 
+#: Largest |sum - 1| of the outcome frequencies of one (state, measurement).
+ROW_SUM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DataTable:
     """W x (V*K) table of outcome probabilities or frequencies.
 
     ``shots`` is None for asymptotic (Born-rule) tables. Column (v, k) sits
-    at index v*K + k.
+    at index v*K + k. A table checks itself when it is built: the counts
+    and ``shots`` are integers >= 1, and ``values`` (stored as a float
+    array; a None cell reads as NaN) has shape (W, V*K), finite entries in
+    [0, 1], and each (state, measurement) block sums to 1 within
+    ``ROW_SUM_TOL``.
     """
 
     values: np.ndarray
@@ -60,6 +70,31 @@ class DataTable:
     n_measurements: int
     n_outcomes: int
     shots: int | None = None
+
+    def __post_init__(self):
+        check_types(self)
+        for name in ("n_states", "n_measurements", "n_outcomes", "shots"):
+            count = getattr(self, name)
+            if count is not None and count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"):
+            for cell in np.asarray(vals, dtype=object).flat:
+                if cell is not None and (
+                    isinstance(cell, bool) or not isinstance(cell, numbers.Real)
+                ):
+                    raise ValueError(f"values must be numbers, got {cell!r}")
+        vals = np.asarray(vals, dtype=float)
+        object.__setattr__(self, "values", vals)
+        if vals.shape != (self.n_states, self.n_measurements * self.n_outcomes):
+            raise ValueError(f"table shape {vals.shape} inconsistent with metadata")
+        if not np.isfinite(vals).all():
+            raise ValueError("table entries must be finite numbers")
+        if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
+            raise ValueError("table entries outside [0, 1]")
+        sums = vals.reshape(self.n_states, self.n_measurements, self.n_outcomes).sum(axis=2)
+        if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
+            raise ValueError("per-measurement outcome frequencies do not sum to 1")
 
 
 def validate_ensemble(ens: Ensemble, tol: float = 1e-10) -> None:
@@ -94,22 +129,6 @@ def validate_ensemble(ens: Ensemble, tol: float = 1e-10) -> None:
                     overlap = np.trace(ek @ eq).real
                     if abs(overlap - (1.0 if k == q else 0.0)) > 1e-9:
                         raise ValueError(f"POVM {v} effects ({k},{q}) are not orthogonal projectors")
-
-
-def validate_table(table: DataTable, tol: float = 1e-9) -> None:
-    """Check finiteness, range and per-measurement row-sum invariants of a
-    data table."""
-    vals = table.values
-    if vals.shape != (table.n_states, table.n_measurements * table.n_outcomes):
-        raise ValueError(f"table shape {vals.shape} inconsistent with metadata")
-    if not np.isfinite(vals).all():
-        raise ValueError("table entries must be finite numbers")
-    if vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
-        raise ValueError("table entries outside [0, 1]")
-    blocks = vals.reshape(table.n_states, table.n_measurements, table.n_outcomes)
-    sums = blocks.sum(axis=2)
-    if np.max(np.abs(sums - 1.0)) > tol:
-        raise ValueError("per-measurement outcome frequencies do not sum to 1")
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,32 +216,6 @@ def born_probabilities(rho: np.ndarray, povm: list[np.ndarray]) -> np.ndarray:
     return np.array([np.trace(rho @ e).real for e in povm])
 
 
-# ---------------------------------------------------------------------------
-# Serialization: complex scalars as [re, im] pairs, matrices row-major.
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def ensemble_to_json(ens: Ensemble) -> dict:
-    return {
-        "dim": ens.dim,
-        "projective_nondegenerate": ens.projective_nondegenerate,
-        "states": [_matrix_to_json(rho) for rho in ens.states],
-        "povms": [[_matrix_to_json(e) for e in povm] for povm in ens.povms],
-    }
-
-
-def table_to_json(table: DataTable) -> dict:
-    return {
-        "n_states": table.n_states,
-        "n_measurements": table.n_measurements,
-        "n_outcomes": table.n_outcomes,
-        "shots": table.shots,
-        "values": [[float(x) for x in row] for row in table.values],
-    }
-
-
 def check_types(obj) -> None:
     """Raise ValueError naming the first field of the dataclass ``obj``
     whose value does not match its annotation: ``int`` fields hold
@@ -262,14 +255,6 @@ def from_json(cls, obj: dict, **nested):
     return cls(**kwargs)
 
 
-def table_from_json(obj: dict) -> DataTable:
-    """Inverse of ``table_to_json``; an unknown key or a count that is not
-    an integer (a float or a bool) raises ValueError naming its key."""
-    table = from_json(DataTable, obj, values=lambda v: np.array(v, dtype=float))
-    check_types(table)
-    return table
-
-
 def table_to_csv(table: DataTable) -> str:
     """Long-format CSV with header row "w, v, k, f"."""
     buf = io.StringIO()
@@ -283,8 +268,24 @@ def table_to_csv(table: DataTable) -> str:
     return buf.getvalue()
 
 
-def dump_json(obj: dict, path) -> None:
-    """Write JSON with a stable layout so identical content is byte-identical."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _encode(obj):
+    """``json.dump``'s hook for what JSON has no type for: a dataclass is
+    written as its fields, an array as nested lists (a complex entry as
+    its [re, im] pair) and a numpy scalar as the Python number it holds."""
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def dump_json(obj, path) -> None:
+    """Write ``obj`` as JSON with a stable layout, so identical content is
+    byte-identical; a record is written by ``_encode``. An object JSON
+    cannot hold raises TypeError before ``path`` is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_encode)
+    Path(path).write_text(text + "\n")

@@ -203,6 +203,7 @@ class TestEstimate:
         first, *rest = recorded["values"]
         nan_cell = [[np.nan, *first[1:]], *rest]
         null_cell = [[None, *first[1:]], *rest]  # a JSON null reads as NaN
+        str_cells = [[str(x) for x in first], *rest]
         for key, value, message in (
             ("values", row_sums, "do not sum to 1"),
             ("values", nan_cell, "finite"),
@@ -210,6 +211,9 @@ class TestEstimate:
             ("n_states", 3.7, "n_states"),
             ("n_outcomes", 2.0, "n_outcomes"),
             ("shots", True, "shots"),
+            ("shots", -5, "shots"),
+            ("shots", 0, "shots"),
+            ("values", str_cells, "values"),
         ):
             write_json(data / "table.json", {**recorded, key: value})
             cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})
@@ -327,3 +331,13 @@ class TestCheckTheory:
         # --trials 0 would print "pass" without checking anything
         assert main(["check-theory", "--n", "3", *flags]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "batch"])
+def test_config_not_utf8_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()

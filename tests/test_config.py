@@ -10,7 +10,7 @@ from gramscope.batch import BatchSpec, batch_spec_from_json
 from gramscope.cli import DataConfig, SynthConfig
 from gramscope.estimator import TrialConfig, trial_config_from_json
 from gramscope.solver import SolverOptions
-from gramscope.synth import DataTable, from_json, table_from_json
+from gramscope.synth import DataTable, from_json
 
 TRIAL = {"d": 2, "n_states": 3, "n_measurements": 2}
 
@@ -22,7 +22,7 @@ LOADERS = {
     SynthConfig: (lambda obj: from_json(SynthConfig, obj), TRIAL),
     DataConfig: (lambda obj: from_json(DataConfig, obj), {"d": 2, "data": "recorded"}),
     DataTable: (
-        table_from_json,
+        lambda obj: from_json(DataTable, obj),
         {"values": [[0.5, 0.5]], "n_states": 1, "n_measurements": 1, "n_outcomes": 2, "shots": None},
     ),
 }

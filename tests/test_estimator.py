@@ -1,5 +1,7 @@
 """Tests for the full estimation loop, metrics, and gauge-fixed factors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,15 @@ class TestEstimateEndToEnd:
         table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="tau must be > 0"):
             solve_table(table, 2, tau=tau)
+
+    def test_solve_table_gets_only_checked_tables(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solve_trace_min ran on an invalid table")
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", never)
+        table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            solve_table(replace(table, values=2 * table.values), 2)
 
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("shots", [None, 1000, 10**6])

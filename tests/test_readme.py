@@ -1,16 +1,44 @@
-"""The library snippets of README.md run as written."""
+"""The code blocks of README.md hold as written: its library snippets run,
+its `gramscope` commands parse and its trial config loads."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
+from gramscope.cli import build_parser
+from gramscope.estimator import trial_config_from_json
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
 def test_python_snippets_run_in_order():
     # later snippets use names the earlier ones define, as a reader would
     # run them in one session
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
-    assert blocks
+    python = blocks("python")
+    assert python
     namespace = {}
-    for block in blocks:
+    for block in python:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_commands_parse():
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("gramscope ")
+    ]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_trial_config_loads():
+    assert blocks("json")
+    for block in blocks("json"):
+        trial_config_from_json(json.loads(block))

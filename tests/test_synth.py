@@ -2,22 +2,23 @@
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from gramscope.estimator import born_table
 from gramscope.synth import (
+    DataTable,
+    dump_json,
+    from_json,
     haar_unitary,
     sample_ensemble,
     sample_mixed_state,
     sample_projective_measurement,
     sample_pure_state,
-    table_from_json,
     table_to_csv,
-    table_to_json,
     validate_ensemble,
-    validate_table,
 )
 
 
@@ -108,7 +109,6 @@ class TestBornTable:
         table = born_table(ens)
         blocks = table.values.reshape(4, 3, 3)
         assert np.max(np.abs(blocks.sum(axis=2) - 1.0)) < 1e-12
-        validate_table(table)
 
     def test_state_norm_window(self):
         rng = np.random.default_rng(8)
@@ -177,6 +177,41 @@ class TestFiniteShotTable:
                 born_table(type(ens)(dim=2, states=[rho], povms=ens.povms))
 
 
+class TestDataTable:
+    TABLE = {
+        "values": [[0.25, 0.75], [1.0, 0.0]],
+        "n_states": 2,
+        "n_measurements": 1,
+        "n_outcomes": 2,
+    }
+
+    def test_valid_table_holds_floats(self):
+        table = DataTable(**self.TABLE, shots=4)
+        assert table.values.dtype == float
+        assert np.array_equal(table.values, self.TABLE["values"])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_states": 0}, "n_states must be >= 1"),
+            ({"n_outcomes": -1}, "n_outcomes must be >= 1"),
+            ({"shots": 0}, "shots must be >= 1"),
+            ({"shots": -5}, "shots must be >= 1"),
+            ({"values": [[0.25, "0.75"], [1.0, 0.0]]}, "values must be numbers"),
+            ({"values": [[0.25, 0.75], [True, False]]}, "values must be numbers"),
+            ({"values": [[0.25, 0.75], [1.0]]}, "values must be numbers"),
+            ({"values": [[0.25, 0.75]]}, "shape"),
+            ({"values": [[0.25, 0.75], [None, 0.0]]}, "finite"),
+            ({"values": [[0.25, 0.75], [np.inf, 0.0]]}, "finite"),
+            ({"values": [[1.25, -0.25], [1.0, 0.0]]}, r"outside \[0, 1\]"),
+            ({"values": [[0.25, 0.5], [1.0, 0.0]]}, "do not sum to 1"),
+        ],
+    )
+    def test_rejects_invalid_table(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            DataTable(**{**self.TABLE, **change})
+
+
 class TestDeterminismAndSerialization:
     def test_same_seed_same_ensemble(self):
         a = sample_ensemble(3, 4, 3, np.random.default_rng(42))
@@ -187,11 +222,39 @@ class TestDeterminismAndSerialization:
         tb = born_table(b, 100, np.random.default_rng(1))
         assert np.array_equal(ta.values, tb.values)
 
-    def test_table_json_roundtrip(self):
-        table = born_table(sample_ensemble(2, 3, 2, np.random.default_rng(16)))
-        back = table_from_json(table_to_json(table))
-        assert np.array_equal(back.values, table.values)
-        assert back.shots is None
+    def test_table_json_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(16)
+        ens = sample_ensemble(2, 3, 2, rng)
+        for shots in (None, 100):
+            table = born_table(ens, shots, rng)
+            dump_json(table, tmp_path / "table.json")
+            back = from_json(DataTable, json.loads((tmp_path / "table.json").read_text()))
+            assert back.values.tobytes() == table.values.tobytes()
+            assert back.values.shape == table.values.shape
+            assert (back.n_states, back.n_measurements, back.n_outcomes, back.shots) == (
+                table.n_states,
+                table.n_measurements,
+                table.n_outcomes,
+                shots,
+            )
+
+    def test_ensemble_json(self, tmp_path):
+        ens = sample_ensemble(2, 3, 2, np.random.default_rng(18))
+        dump_json(ens, tmp_path / "ensemble.json")
+        obj = json.loads((tmp_path / "ensemble.json").read_text())
+        assert set(obj) == {"dim", "states", "povms", "projective_nondegenerate"}
+        assert (obj["dim"], obj["projective_nondegenerate"]) == (2, True)
+        # complex entries are [re, im] pairs
+        states = np.array(obj["states"])
+        assert states.shape == (3, 2, 2, 2)
+        assert np.array_equal(states[..., 0] + 1j * states[..., 1], np.array(ens.states))
+        assert np.array(obj["povms"]).shape == (2, 2, 2, 2, 2)
+
+    def test_dump_rejects_what_json_cannot_hold(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError, match="object"):
+            dump_json({"x": object()}, path)
+        assert not path.exists()
 
     def test_table_csv_roundtrip(self):
         table = born_table(sample_ensemble(2, 3, 2, np.random.default_rng(17)))
