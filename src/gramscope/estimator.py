@@ -106,20 +106,34 @@ def born_table(
     """W x (V*K) data table of an ensemble: entry (w, v*K + k) is the Born
     probability p = tr(rho_w E_vk) clipped to [0, 1], or with ``shots`` the
     frequency of outcome k in ``shots`` draws from p, each (state,
-    measurement) block drawn from ``rng`` in turn, state by state."""
+    measurement) block drawn from ``rng`` in turn, state by state.
+
+    The V*K effects are stacked once, so each state's row is one
+    ``born_probabilities`` contraction, and the shots of the whole table
+    are one multinomial call over its (W, V, K) blocks."""
     if shots is not None and (shots < 1 or rng is None):
         raise ValueError(f"a finite-shot table needs shots >= 1 and an rng, got {shots}, {rng}")
-    w_, v_, k_ = ens.n_states, ens.n_measurements, ens.n_outcomes
-    vals = np.empty((w_, v_ * k_))
+    d, w_, v_, k_ = ens.dim, ens.n_states, ens.n_measurements, ens.n_outcomes
+    for v, povm in enumerate(ens.povms):
+        if len(povm) != k_:
+            raise ValueError(f"POVM {v} has {len(povm)} effects, expected {k_}")
+        for k, eff in enumerate(povm):
+            if np.shape(eff) != (d, d):
+                raise ValueError(
+                    f"effect ({v},{k}) has shape {np.shape(eff)}, expected ({d}, {d})"
+                )
+    effects = np.array([eff for povm in ens.povms for eff in povm]).reshape(v_ * k_, d, d)
+    p = np.empty((w_, v_ * k_))
     for w, rho in enumerate(ens.states):
-        if rho.shape != (ens.dim, ens.dim):
-            raise ValueError(f"state {w} has shape {rho.shape}, expected ({ens.dim}, {ens.dim})")
-        for v, povm in enumerate(ens.povms):
-            p = np.clip(born_probabilities(rho, povm), 0.0, 1.0)
-            if shots is not None:
-                p = rng.multinomial(shots, p / p.sum()) / shots
-            vals[w, v * k_ : (v + 1) * k_] = p
-    return DataTable(values=vals, n_states=w_, n_measurements=v_, n_outcomes=k_, shots=shots)
+        if rho.shape != (d, d):
+            raise ValueError(f"state {w} has shape {rho.shape}, expected ({d}, {d})")
+        p[w] = born_probabilities(rho, effects)
+    p = np.clip(p, 0.0, 1.0).reshape(w_, v_, k_)
+    if shots is not None:
+        p = rng.multinomial(shots, p / p.sum(axis=2, keepdims=True)) / shots
+    return DataTable(
+        values=p.reshape(w_, v_ * k_), n_states=w_, n_measurements=v_, n_outcomes=k_, shots=shots
+    )
 
 
 def solve_table(

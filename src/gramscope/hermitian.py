@@ -119,7 +119,7 @@ def _outer_clipped(vecs: np.ndarray, w: np.ndarray, hi: float) -> np.ndarray:
     """B B^T with B = vecs * sqrt(min(w, hi)), for eigenpairs (w, vecs) with
     every w > 0. numpy sends the product of a matrix with its own
     transpose to syrk, so the result is exactly symmetric."""
-    b = vecs * np.sqrt(w.clip(max=hi))
+    b = vecs * np.sqrt(np.minimum(w, hi))
     return b @ b.T
 
 

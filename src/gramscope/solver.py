@@ -152,7 +152,7 @@ def _pin_rule(kn: Knowledge, at: np.ndarray, scale: np.ndarray | float = 1.0):
 
     def apply(x: np.ndarray) -> None:
         x.put(exact_at, values)
-        x.put(interval_at, x.take(interval_at).clip(interval_lo, interval_hi))
+        x.put(interval_at, np.minimum(np.maximum(x.take(interval_at), interval_lo), interval_hi))
 
     return apply
 

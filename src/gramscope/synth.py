@@ -62,7 +62,8 @@ class DataTable:
     and ``shots`` are integers >= 1, and ``values`` (stored as a float
     array; a None cell reads as NaN) has shape (W, V*K), finite entries in
     [0, 1], and each (state, measurement) block sums to 1 within
-    ``ROW_SUM_TOL``.
+    ``ROW_SUM_TOL``. ``values`` is a read-only copy, so a table stays as it
+    was checked and the caller's array stays writable.
     """
 
     values: np.ndarray
@@ -84,7 +85,8 @@ class DataTable:
                     isinstance(cell, bool) or not isinstance(cell, numbers.Real)
                 ):
                     raise ValueError(f"values must be numbers, got {cell!r}")
-        vals = np.asarray(vals, dtype=float)
+        vals = np.array(vals, dtype=float)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.n_states, self.n_measurements * self.n_outcomes):
             raise ValueError(f"table shape {vals.shape} inconsistent with metadata")
@@ -211,9 +213,10 @@ def sample_ensemble(
     )
 
 
-def born_probabilities(rho: np.ndarray, povm: list[np.ndarray]) -> np.ndarray:
-    """Outcome probabilities tr(rho E_k) for one state and one measurement."""
-    return np.array([np.trace(rho @ e).real for e in povm])
+def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(rho E) of one state for each effect E of a
+    stack of shape (..., d, d), one contraction for the whole stack."""
+    return np.trace(rho @ effects, axis1=-2, axis2=-1).real
 
 
 def check_types(obj) -> None:

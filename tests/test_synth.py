@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import gramscope.estimator
 from gramscope.estimator import born_table
 from gramscope.synth import (
     DataTable,
@@ -110,6 +111,58 @@ class TestBornTable:
         blocks = table.values.reshape(4, 3, 3)
         assert np.max(np.abs(blocks.sum(axis=2) - 1.0)) < 1e-12
 
+    # pure d=2, mixed d=2, degenerate [2, 1] d=3 and d=4
+    CASES = [(2, False, None), (2, True, None), (3, False, [2, 1]), (4, False, None)]
+
+    @pytest.mark.parametrize("d, mixed, degeneracies", CASES)
+    def test_equals_per_cell_definition(self, d, mixed, degeneracies):
+        ens = sample_ensemble(d, 4, 3, np.random.default_rng(d), mixed, degeneracies)
+        expected = [
+            [np.clip(np.trace(rho @ e).real, 0.0, 1.0) for povm in ens.povms for e in povm]
+            for rho in ens.states
+        ]
+        assert born_table(ens).values.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("d, mixed, degeneracies", CASES)
+    def test_shots_equal_sequential_block_draws(self, d, mixed, degeneracies):
+        # one multinomial call over the table draws what one call per
+        # (state, measurement) block draws, and leaves the rng where they do
+        ens = sample_ensemble(d, 4, 3, np.random.default_rng(d), mixed, degeneracies)
+        p = born_table(ens).values
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        table = born_table(ens, 77, rng)
+        blocks = p.reshape(ens.n_states, ens.n_measurements, ens.n_outcomes)
+        expected = [[twin.multinomial(77, b / b.sum()) / 77 for b in row] for row in blocks]
+        assert table.values.tobytes() == np.array(expected).reshape(p.shape).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_one_contraction_per_state(self, monkeypatch):
+        # the tracer of the benchmark wraps this name in gramscope.estimator
+        calls = []
+        contract = gramscope.estimator.born_probabilities
+
+        def counted(rho, effects):
+            calls.append(rho)
+            return contract(rho, effects)
+
+        monkeypatch.setattr(gramscope.estimator, "born_probabilities", counted)
+        ens = sample_ensemble(3, 5, 4, np.random.default_rng(3))
+        born_table(ens, 100, np.random.default_rng(4))
+        assert len(calls) == ens.n_states
+
+    def test_rejects_misshapen_povm(self):
+        # POVMs of 2, 1 and 3 effects would stack to V*K = 6 effects
+        e3 = np.eye(3) / 3
+        ket0 = np.diag([1.0, 0.0]).astype(complex)
+        cases = [
+            (3, [[e3, e3], [e3], [e3, e3, e3]], r"POVM 1 has 1 effects, expected 2"),
+            (2, [[ket0, np.eye(2) - ket0], [ket0, np.eye(3)]], r"effect \(1,1\) has shape"),
+        ]
+        for d, povms, message in cases:
+            ens = sample_ensemble(d, 1, 1, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=message):
+                born_table(type(ens)(dim=d, states=ens.states, povms=povms))
+
     def test_state_norm_window(self):
         rng = np.random.default_rng(8)
         for d in (2, 3, 4):
@@ -210,6 +263,14 @@ class TestDataTable:
     def test_rejects_invalid_table(self, change, message):
         with pytest.raises(ValueError, match=message):
             DataTable(**{**self.TABLE, **change})
+
+    def test_values_are_a_read_only_copy(self):
+        vals = np.array(self.TABLE["values"])
+        table = DataTable(**{**self.TABLE, "values": vals})
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[:] *= 2
+        vals[:] *= 2
+        assert np.array_equal(table.values, self.TABLE["values"])
 
 
 class TestDeterminismAndSerialization:
