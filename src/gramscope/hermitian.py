@@ -90,10 +90,8 @@ def vectorize(h: np.ndarray) -> np.ndarray:
 #: The partial step is tried only while the warm basis has at most this
 #: fraction of n columns; beyond it a dense eigh is about as cheap.
 PARTIAL_FRACTION = 0.25
-#: Eigenvectors a full step keeps in the warm basis beyond the positive ones.
+#: Eigenvectors a step keeps in the warm basis beyond the positive ones.
 PARTIAL_BUFFER = 4
-#: Rayleigh-Ritz rounds a partial step may take before it gives up.
-PARTIAL_ROUNDS = 3
 
 
 @dataclass
@@ -102,10 +100,10 @@ class WarmSpectrum:
 
     ``tol`` bounds the Frobenius error a partial step may make; the caller
     sets it before each call. ``basis`` (orthonormal columns) is the
-    subspace the next partial step starts from; full steps and accepted
-    partial steps replace it. ``partial_steps`` counts the calls that
-    returned a certified partial projection, ``failed_partial_steps`` the
-    calls whose partial attempt was not certified and fell back to the
+    subspace the next partial step starts from; every full step and every
+    accepted partial step replaces it. ``partial_steps`` counts the calls
+    that returned a certified partial projection, ``failed_partial_steps``
+    the calls whose partial attempt was not certified and fell back to the
     full step.
     """
 
@@ -127,29 +125,26 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     """Projection of symmetric ``a`` onto {0 <= X <= hi*I} from a small Ritz
     subspace, or None when its error is not certified below ``warm.tol``.
 
-    Rayleigh-Ritz on orth([Q, AQ - Q(Q^T A Q)]) gives Ritz pairs; keep
-    those with theta > 0 as (Q+, T+) and let R = A Q+ - Q+ T+. The matrix
-    A' = Q+ T+ Q+^T + PAP, with P = I - Q+ Q+^T, lies sqrt(2)||R||_F from
-    A. When PAP is negative definite on the complement of Q+ (Cholesky of
-    Q+ Q+^T - PAP succeeds), the projection of A' is Q+ clip(T+) Q+^T, so
-    by non-expansiveness its distance to the projection of A is at most
-    sqrt(2)||R||_F.
+    One Rayleigh-Ritz step on orth([Q, AQ - Q(Q^T A Q)]) gives Ritz pairs;
+    keep those with theta > 0 as (Q+, T+) and let R = A Q+ - Q+ T+. The
+    matrix A' = Q+ T+ Q+^T + PAP, with P = I - Q+ Q+^T, lies
+    sqrt(2)||R||_F from A. When PAP is negative definite on the complement
+    of Q+ (Cholesky of Q+ Q+^T - PAP succeeds), the projection of A' is
+    Q+ clip(T+) Q+^T, so by non-expansiveness its distance to the
+    projection of A is at most sqrt(2)||R||_F. An accepted step keeps Q+
+    and ``PARTIAL_BUFFER`` more Ritz vectors as the next basis.
     """
     q = warm.basis
     aq = a @ q
-    theta = q.T @ aq
-    for _ in range(PARTIAL_ROUNDS):
-        x = np.linalg.qr(np.hstack((q, aq - q @ theta)))[0]
-        ax = a @ x
-        w, s = np.linalg.eigh(x.T @ ax)
-        first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
-        keep = max(first - PARTIAL_BUFFER, 0)
-        q, aq, theta = x @ s[:, keep:], ax @ s[:, keep:], np.diag(w[keep:])
-        pos, tpos = q[:, first - keep :], w[first:]
-        res = aq[:, first - keep :] - pos * tpos
-        if np.sqrt(2.0 * np.vdot(res, res)) <= warm.tol:
-            break
-    else:
+    x = np.linalg.qr(np.hstack((q, aq - q @ (q.T @ aq))))[0]
+    ax = a @ x
+    w, s = np.linalg.eigh(x.T @ ax)
+    first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
+    keep = max(first - PARTIAL_BUFFER, 0)
+    q = x @ s[:, keep:]
+    pos, tpos = q[:, first - keep :], w[first:]
+    res = ax @ s[:, first:] - pos * tpos
+    if np.sqrt(2.0 * np.vdot(res, res)) > warm.tol:
         return None
     # A Q+ = Q+ T+ + R with Q+^T R = 0 turns Q+ Q+^T - PAP into
     # Q+ (I + T+) Q+^T + R Q+^T + Q+ R^T - A
@@ -177,15 +172,15 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
 
     With ``warm`` a sequence of calls on slowly changing inputs may skip
     the dense eigendecomposition: while the warm basis has at most
-    ``PARTIAL_FRACTION * n`` columns, the projection is first computed
-    from that subspace and returned only when its Frobenius error is
-    certified below ``warm.tol``. Otherwise, and without ``warm``, the
-    result is the exact projection; that full step also keeps the
-    eigenvectors above 0, plus ``PARTIAL_BUFFER`` more, as the next warm
-    basis when they are few enough to be used.
+    ``PARTIAL_FRACTION * n`` columns, the projection is first computed by
+    one Rayleigh-Ritz step from that subspace and returned only when its
+    Frobenius error is certified below ``warm.tol``. Otherwise, and
+    without ``warm``, the result is the exact projection; that full step
+    always keeps the eigenvectors above 0, plus ``PARTIAL_BUFFER`` more,
+    as the next warm basis.
     """
-    if hi < 0:
-        raise ValueError(f"empty spectral box: hi={hi} < 0")
+    if not hi >= 0:
+        raise ValueError(f"empty spectral box: hi={hi} is not >= 0")
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     basis = None if warm is None else warm.basis
@@ -198,11 +193,5 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     w, u = np.linalg.eigh(a)
     first = int(w.searchsorted(0.0, "right"))  # first positive eigenvalue
     if warm is not None:
-        # Keep the eigenvectors above 0 and PARTIAL_BUFFER more, but only
-        # if a partial step would take that basis: at most
-        # PARTIAL_FRACTION * n columns, so at most `most` positive eigenvalues.
-        most = int(PARTIAL_FRACTION * n) - PARTIAL_BUFFER
-        warm.basis = None
-        if most >= 0 and w[n - 1 - most] <= 0.0:
-            warm.basis = u[:, max(first - PARTIAL_BUFFER, 0) :].copy()
+        warm.basis = u[:, max(first - PARTIAL_BUFFER, 0) :].copy()
     return _outer_clipped(u[:, first:], w[first:], hi)

@@ -45,10 +45,12 @@ ANDERSON_RIDGE = 1e-8
 #: of each inexact step, below the bound 1 of inexact ADMM, not a stopping
 #: rule. Swept over {0.1, 0.2, 0.3, 0.5} on instances 0-3 and 6-9 of the
 #: benchmark's d=3 (30,50) pool (n=180, one BLAS thread): full
-#: eigendecompositions went 797 / 664 / 616 / 599, failed partial attempts
-#: 335 / 202 / 154 / 137,
-#: iterations 2790 / 2789 / 2805 / 2836 and time 5.8 / 5.3 / 5.2 / 5.1 s.
-#: 0.3 is the smallest value past the knee; at d=2 no partial step runs.
+#: eigendecompositions went 829 / 786 / 723 / 640, failed partial attempts
+#: 367 / 324 / 261 / 178, iterations 2799 / 2809 / 2797 / 2733 and time
+#: 5.9 / 5.6 / 5.8 / 5.5 s (medians of 5 interleaved repeats, whose spread
+#: was about 1 s). 0.3 was the smallest value past the knee when a partial
+#: step could take three Rayleigh-Ritz rounds; with one round the counts
+#: fall without a knee up to 0.5. At d=2 no partial step runs.
 PARTIAL_TOL = 0.3
 
 
@@ -61,7 +63,7 @@ class SdpProblem:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
 
     @property

@@ -127,7 +127,6 @@ def check_rank_conjugate(
     """Closed-form conjugate vs brute-force subset oracle, plus Monte-Carlo
     feasible samples that must never beat it."""
     pool, ranks = feasible_sample_pool(n, mc_samples, rng)
-    worst_gap = 0.0
     for t in range(trials):
         y = rng.standard_normal((n, n)) * rng.uniform(0.3, 3.0)
         y = 0.5 * (y + y.T)
@@ -140,7 +139,6 @@ def check_rank_conjugate(
         mc_best = float(np.max(np.einsum("kij,ij->k", pool, y) - ranks))
         if mc_best > closed + 1e-9:
             return {"ok": False, "trial": t, "closed_form": closed, "mc_best": mc_best}
-        worst_gap = max(worst_gap, mc_best - closed)
     return {"ok": True, "trials": trials, "mc_samples": mc_samples}
 
 

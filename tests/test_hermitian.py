@@ -138,6 +138,11 @@ class TestClipSpectrum:
         with pytest.raises(ValueError):
             clip_spectrum(np.eye(2), -1.0)
 
+    def test_rejects_nan_box(self):
+        # NaN fails every comparison; accepted, it would clip to NaN
+        with pytest.raises(ValueError):
+            clip_spectrum(np.eye(2), np.nan)
+
     @pytest.mark.parametrize("n", [15, 60, 180])
     def test_matches_eigenvalue_clipping(self, n):
         # the B B^T rebuild from the positive eigenpairs equals the
@@ -177,26 +182,33 @@ class TestClipSpectrumWarm:
     RADIUS = 2.5
 
     def test_partial_step_within_its_certificate(self):
-        # seed the basis with a full step, then clip a nearby matrix: the
-        # partial result may differ from the exact projection by at most
-        # sqrt(2)||R||_F <= tol, and must lie in the spectral box
+        # seed the basis with a full step, then clip a nearby matrix: one
+        # Rayleigh-Ritz step certifies a 1e-4 perturbation, and its result
+        # may differ from the exact projection by at most sqrt(2)||R||_F <=
+        # tol and must lie in the spectral box; it does not reach a 1e-3
+        # perturbation, which gets the exact projection
         rng = np.random.default_rng(11)
         m, _ = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
-        warm = WarmSpectrum()
-        clip_spectrum(m, self.RADIUS, warm=warm)
-        assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
-        assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
         e = rng.standard_normal((40, 40))
-        m2 = m + 1e-3 * (e + e.T)
-        warm.tol = 1e-3
-        out = clip_spectrum(m2, self.RADIUS, warm=warm)
-        assert warm.partial_steps == 1 and warm.failed_partial_steps == 0
-        assert warm.basis.shape[0] == 40 and warm.basis.shape[1] >= 3
-        assert np.allclose(warm.basis.T @ warm.basis, np.eye(warm.basis.shape[1]), atol=1e-12)
-        assert np.linalg.norm(out - clip_spectrum(m2, self.RADIUS)) <= warm.tol
-        assert np.array_equal(out, out.T)
-        lam = np.linalg.eigvalsh(out)
-        assert lam.min() >= -1e-12 and lam.max() <= self.RADIUS + 1e-12
+        for scale, certified in ((1e-4, True), (1e-3, False)):
+            warm = WarmSpectrum()
+            clip_spectrum(m, self.RADIUS, warm=warm)
+            assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
+            assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
+            m2 = m + scale * (e + e.T)
+            warm.tol = 1e-3
+            out = clip_spectrum(m2, self.RADIUS, warm=warm)
+            assert warm.partial_steps == int(certified)
+            assert warm.failed_partial_steps == int(not certified)
+            if not certified:
+                assert np.array_equal(out, clip_spectrum(m2, self.RADIUS))
+                continue
+            assert warm.basis.shape[0] == 40 and warm.basis.shape[1] >= 3
+            assert np.allclose(warm.basis.T @ warm.basis, np.eye(warm.basis.shape[1]), atol=1e-12)
+            assert np.linalg.norm(out - clip_spectrum(m2, self.RADIUS)) <= warm.tol
+            assert np.array_equal(out, out.T)
+            lam = np.linalg.eigvalsh(out)
+            assert lam.min() >= -1e-12 and lam.max() <= self.RADIUS + 1e-12
 
     def test_missed_positive_eigenvector_falls_back_to_full_step(self):
         # a basis orthogonal to a positive eigenvector spans no Krylov
@@ -211,10 +223,35 @@ class TestClipSpectrumWarm:
         # the full step re-seeds the basis from its own eigenvectors
         assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
 
-    def test_full_step_drops_a_basis_too_wide_to_use(self):
-        # 8 positive eigenvalues plus the buffer exceed a quarter of n=40
+    def test_full_step_keeps_a_basis_too_wide_to_use(self):
+        # 8 positive eigenvalues plus the buffer exceed a quarter of n=40:
+        # the full step stores that basis, and the next call never tries it
         rng = np.random.default_rng(13)
         m, _ = low_rank_spectrum(40, np.linspace(0.5, 3.0, 8), rng)
         warm = WarmSpectrum(basis=np.eye(40)[:, :1])
         clip_spectrum(m, self.RADIUS, warm=warm)
-        assert warm.basis is None and warm.failed_partial_steps == 1
+        assert warm.failed_partial_steps == 1 and warm.basis.shape == (40, 12)
+        out = clip_spectrum(m, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
+        assert np.array_equal(out, clip_spectrum(m, self.RADIUS))
+
+    def test_failed_attempt_is_one_rayleigh_ritz_step(self, monkeypatch):
+        # at tol 0 no partial step is certified; the attempt orthonormalizes
+        # one Krylov block and gives up
+        rng = np.random.default_rng(11)
+        m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
+        e = rng.standard_normal((40, 40))
+        m2 = m + 1e-3 * (e + e.T)
+        warm = WarmSpectrum(tol=0.0, basis=u[:, 40 - 3 - PARTIAL_BUFFER :])
+        qr = np.linalg.qr
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr("numpy.linalg.qr", counting)
+        out = clip_spectrum(m2, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
+        assert len(calls) == 1
+        assert np.array_equal(out, clip_spectrum(m2, self.RADIUS))

@@ -282,9 +282,10 @@ class TestSolveTraceMin:
     def test_partial_steps_reach_the_full_step_optimum(self, monkeypatch):
         # at d=3 (30,50), n=180, the iterate has rank about 9 and most
         # projections are certified partial ones; they must not move the
-        # optimum or loosen the pins. With a partial-step budget of 0.1 r
-        # this solve ran 83 full eigendecompositions in 349 iterations
-        # (62 in 356 at 0.3 r).
+        # optimum or loosen the pins. The bound is what partial steps of up
+        # to three Rayleigh-Ritz rounds needed with a budget of 0.1 r: 83
+        # full eigendecompositions in 349 iterations (62 in 356 at 0.3 r).
+        # One round needs 88 in 356 at 0.1 r and 69 in 375 at 0.3 r.
         full_steps_at_budget_one_tenth = 83
         prob = instance(3, 30, 50, seed=1)
         opts = SolverOptions(primal_tol=1e-7, dual_tol=1e-7)
@@ -320,6 +321,12 @@ class TestSolveTraceMin:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             SdpProblem(knowledge=Knowledge(n=2), radius=0.0)
+
+    def test_rejects_nan_radius(self):
+        # NaN fails every comparison; accepted, it would solve to an
+        # all-NaN matrix through all of max_iters
+        with pytest.raises(ValueError):
+            SdpProblem(knowledge=Knowledge(n=2), radius=float("nan"))
 
 
 class TestRecoveryFromData:
