@@ -9,7 +9,6 @@ reports.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
@@ -109,8 +108,15 @@ def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
         for tr in range(spec.trials_per_template):
             jobs_list.append(replace(template, seed=trial_seed(spec.master_seed, ti, tr)))
     records = []
-    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else nullcontext() as pool:
-        results = map(run_trial, jobs_list) if pool is None else pool.map(run_trial, jobs_list)
+    if spec.jobs > 1:
+        # imported here, so a serial run (and every CLI call) skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(spec.jobs)
+    else:
+        pool = nullcontext()
+    with pool:
+        results = pool.map(run_trial, jobs_list) if spec.jobs > 1 else map(run_trial, jobs_list)
         for idx, record in enumerate(results):
             records.append(record)
             if progress is not None:

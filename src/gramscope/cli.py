@@ -22,9 +22,16 @@ import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
 from .estimator import born_table, estimate, evaluate, solve_table, trial_config_from_json
-from .gram import projective_multiplicities
 from .solver import SolverOptions
-from .synth import DataTable, check_types, dump_json, from_json, sample_ensemble, table_to_csv
+from .synth import (
+    DataTable,
+    check_types,
+    dump_json,
+    from_json,
+    projective_multiplicities,
+    sample_ensemble,
+    table_to_csv,
+)
 from .theory import MAX_BRUTEFORCE_N, run_all_checks
 
 EXIT_OK = 0
@@ -77,42 +84,15 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """The ``synth`` config: an ensemble and its table, exact or from
-    ``shots`` repetitions. ``degeneracies`` is one multiplicity list shared
-    by every measurement; each measurement has d outcomes without it."""
-
-    d: int
-    n_states: int
-    n_measurements: int
-    shots: int | None = None
-    seed: int = 0
-    degeneracies: list[int] | None = None
-    mixed_states: bool = False
-
-    def __post_init__(self):
-        check_types(self)
-        if min(self.d, self.n_states, self.n_measurements) < 1 or (
-            self.shots is not None and self.shots < 1
-        ):
-            raise ValueError("d, n_states, n_measurements and shots must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.degeneracies is not None:  # one pattern, checked as one measurement's
-            projective_multiplicities(self.d, len(self.degeneracies), 1, [self.degeneracies])
-
-
 def cmd_synth(args) -> int:
     cfg = _apply_overrides(_load_json(args.config), args)
     try:
-        c = from_json(SynthConfig, cfg)
+        c = trial_config_from_json(cfg)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth config: {exc}") from exc
+        raise ConfigError(f"bad trial config: {exc}") from exc
+    # the ensemble and table that estimate() starts the trial from
     rng = np.random.default_rng(c.seed)
-    ens = sample_ensemble(
-        c.d, c.n_states, c.n_measurements, rng, mixed=c.mixed_states, degeneracies=c.degeneracies
-    )
+    ens = sample_ensemble(c.d, c.n_states, c.n_measurements, rng, c.mixed_states, c.degeneracies)
     table = born_table(ens, c.shots, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,7 +113,7 @@ class DataConfig:
 
     d: int
     data: str
-    degeneracies: list | None = None
+    degeneracies: list[int] | None = None
     epsilon: float = 0.0
     tau: float = 1e-4
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -150,7 +130,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     try:
         c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
         table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
-        projective_multiplicities(c.d, table.n_outcomes, table.n_measurements, c.degeneracies)
+        projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimate config or table: {exc}") from exc
     est = solve_table(table, c.d, c.degeneracies, c.epsilon, c.tau, c.solver)

@@ -37,6 +37,7 @@ from .synth import (
     born_probabilities,
     check_types,
     from_json,
+    projective_multiplicities,
     sample_ensemble,
 )
 
@@ -45,12 +46,15 @@ from .synth import (
 class TrialConfig:
     """One synthetic estimation trial.
 
-    Measurements are projective and non-degenerate, so each has K = d
+    Measurements are projective. ``degeneracies`` is one multiplicity list
+    (K positive integers summing to d) that every measurement, the added
+    ones too, shares; without it they are non-degenerate, with K = d
     outcomes. ``shots`` None means asymptotic (exact Born probabilities);
     a finite value draws the outcome frequencies of that many shots. A
     nonzero ``epsilon`` widens the data-block constraints into intervals,
     with or without shots, as ``solve_table`` does. Every state, the
-    added ones too, is mixed when ``mixed_states`` is set.
+    added ones too, is mixed when ``mixed_states`` is set. ``gramscope
+    synth`` writes the ensemble and table a trial starts from.
     """
 
     d: int
@@ -63,6 +67,7 @@ class TrialConfig:
     seed: int = 0
     state_first: bool = True
     mixed_states: bool = False
+    degeneracies: list[int] | None = None
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -79,6 +84,7 @@ class TrialConfig:
             raise ValueError("epsilon must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when finite")
+        projective_multiplicities(self.d, None, self.degeneracies)
 
 
 @dataclass
@@ -139,7 +145,7 @@ def born_table(
 def solve_table(
     table: DataTable,
     d: int,
-    degeneracies: list[list[int]] | list[int] | None = None,
+    degeneracies: list[int] | None = None,
     epsilon: float = 0.0,
     tau: float = 1e-4,
     solver: SolverOptions | None = None,
@@ -187,14 +193,14 @@ def estimate(
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     ens = sample_ensemble(
-        cfg.d, cfg.n_states, cfg.n_measurements, rng, mixed=cfg.mixed_states
+        cfg.d, cfg.n_states, cfg.n_measurements, rng, cfg.mixed_states, cfg.degeneracies
     )
     table = born_table(ens, cfg.shots, rng)
 
     augmentations = 0
     add_state_next = cfg.state_first
     while True:
-        est = solve_table(table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver)
+        est = solve_table(table, cfg.d, cfg.degeneracies, cfg.epsilon, cfg.tau, cfg.solver)
         if est.certified or not est.report.converged or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
@@ -203,7 +209,7 @@ def estimate(
             vals = np.vstack([table.values, rows])
             ens = replace(ens, states=ens.states + new)
         else:
-            new = sample_ensemble(cfg.d, 0, 1, rng).povms
+            new = sample_ensemble(cfg.d, 0, 1, rng, degeneracies=cfg.degeneracies).povms
             cols = born_table(replace(ens, povms=new), cfg.shots, rng).values
             vals = np.hstack([table.values, cols])
             ens = replace(ens, povms=ens.povms + new)

@@ -10,14 +10,13 @@ to intervals [lo, hi] (exact values when lo == hi) before completion.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .hermitian import vectorize
-from .synth import DataTable, Ensemble
+from .synth import DataTable, Ensemble, projective_multiplicities
 
 
 @dataclass(frozen=True)
@@ -120,54 +119,19 @@ def r_qm(n_states: int, n_measurements: int, d: int) -> float:
     return float(n_states + n_measurements * d)
 
 
-def projective_multiplicities(
-    d: int,
-    n_outcomes: int,
-    n_measurements: int,
-    degeneracies: list[list[int]] | list[int] | None = None,
-) -> list[list[int]]:
-    """Outcome multiplicities of each of V projective K-outcome measurements.
-
-    ``degeneracies`` may be one multiplicity list applied to every
-    measurement or one list per measurement; default is non-degenerate,
-    which requires K = d. Raises ValueError on an inconsistent pattern.
-    """
-    k_, v_ = n_outcomes, n_measurements
-    if degeneracies is None:
-        if k_ != d:
-            raise ValueError(
-                f"non-degenerate projective knowledge needs K = d, got K={k_}, d={d}"
-            )
-        return [[1] * d] * v_
-    if degeneracies and isinstance(degeneracies[0], int):
-        per_v = [list(degeneracies)] * v_
-    else:
-        per_v = [list(m) for m in degeneracies]
-    if len(per_v) != v_:
-        raise ValueError(f"expected {v_} degeneracy lists, got {len(per_v)}")
-    for mults in per_v:
-        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in mults):
-            raise ValueError(f"degeneracy pattern {mults} must hold integer multiplicities")
-        if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
-            raise ValueError(f"degeneracy pattern {mults} inconsistent with K={k_}, d={d}")
-    return per_v
-
-
 def knowledge_projective(
-    table: DataTable,
-    d: int,
-    degeneracies: list[list[int]] | list[int] | None = None,
+    table: DataTable, d: int, degeneracies: list[int] | None = None
 ) -> Knowledge:
     """Knowledge for projective measurements with known degeneracy.
 
     Pins (a) every data-block entry G[w, W + v*K + k] to the observed
     frequency and (b) each within-measurement block of G_m to
     diag(multiplicities) (identity for non-degenerate). Cross-measurement
-    blocks and G_st stay free. ``degeneracies`` is as in
-    ``projective_multiplicities``.
+    blocks and G_st stay free. ``degeneracies`` is the one multiplicity
+    list every measurement shares, checked by ``projective_multiplicities``.
     """
     w_, v_, k_ = table.n_states, table.n_measurements, table.n_outcomes
-    mults = np.array(projective_multiplicities(d, k_, v_, degeneracies), dtype=float)
+    mults = np.array(projective_multiplicities(d, k_, degeneracies), dtype=float)
     # Data block: (w, W + c) for every table cell c of row w, row-major.
     # Measurement blocks: upper triangle (k, q) of each K x K block at base.
     base = (w_ + k_ * np.arange(v_))[:, None]
@@ -176,7 +140,7 @@ def knowledge_projective(
     pins["i"] = np.concatenate([np.repeat(np.arange(w_), v_ * k_), (base + ku).ravel()])
     pins["j"] = np.concatenate([np.tile(np.arange(w_, w_ + v_ * k_), w_), (base + qu).ravel()])
     pins["lo"] = pins["hi"] = np.concatenate(
-        [table.values.ravel(), np.where(ku == qu, mults[:, ku], 0.0).ravel()]
+        [table.values.ravel(), np.tile(np.where(ku == qu, mults[ku], 0.0), v_)]
     )
     return Knowledge(n=w_ + v_ * k_, constraints=pins, split=w_)
 

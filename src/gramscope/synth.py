@@ -165,6 +165,29 @@ def sample_mixed_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def projective_multiplicities(
+    d: int, n_outcomes: int | None, degeneracies: list[int] | None = None
+) -> list[int]:
+    """Outcome multiplicities of a projective K-outcome measurement, one
+    pattern shared by every measurement: ``degeneracies`` as given, or
+    [1] * d (non-degenerate) without one. Raises ValueError unless it is a
+    list of K positive integers summing to d; ``n_outcomes`` None takes K
+    as the pattern's length.
+    """
+    mults = [1] * d if degeneracies is None else degeneracies
+    if not isinstance(mults, list) or any(
+        isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in mults
+    ):
+        raise ValueError(f"degeneracy pattern {mults!r} must be a list of integer multiplicities")
+    k_ = len(mults) if n_outcomes is None else n_outcomes
+    if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
+        raise ValueError(
+            f"degeneracy pattern {mults} inconsistent with K={k_}, d={d}: "
+            "it needs K positive multiplicities summing to d"
+        )
+    return list(mults)
+
+
 def sample_projective_measurement(
     d: int,
     rng: np.random.Generator,
@@ -173,18 +196,15 @@ def sample_projective_measurement(
     """Haar-rotated projective measurement.
 
     With no ``degeneracies`` the effects are the d rank-1 projectors
-    U |k><k| U^dag. A degeneracy pattern (multiplicities summing to d)
-    groups consecutive basis vectors into higher-rank projectors.
+    U |k><k| U^dag. A degeneracy pattern (checked by
+    ``projective_multiplicities``) groups consecutive basis vectors into
+    higher-rank projectors.
     """
-    if degeneracies is not None:
-        if any(m < 1 for m in degeneracies) or sum(degeneracies) != d:
-            raise ValueError(f"degeneracies {degeneracies} must be positive and sum to {d}")
-    else:
-        degeneracies = [1] * d
+    mults = projective_multiplicities(d, None, degeneracies)
     u = haar_unitary(d, rng)
     effects = []
     start = 0
-    for mult in degeneracies:
+    for mult in mults:
         block = u[:, start : start + mult]
         effects.append(block @ block.conj().T)
         start += mult

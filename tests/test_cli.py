@@ -55,7 +55,7 @@ class TestSynth:
         assert table["shots"] == 10
 
     def test_k_mismatch_is_config_error(self, tmp_path):
-        # K is d, or the length of degeneracies, so n_outcomes is no synth key
+        # K is d, or the length of degeneracies, so n_outcomes is no trial key
         cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "n_outcomes": 3})
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
@@ -75,11 +75,21 @@ class TestSynth:
             ({**SYNTH_CFG, "seed": True}, "seed"),
             ({**SYNTH_CFG, "shots": 10.5}, "shots"),
             ({**SYNTH_CFG, "degeneracies": [True, True]}, "degeneracy"),
+            ({**SYNTH_CFG, "degeneracies": {"a": 1}}, "degeneracy"),
         ):
             cfg = write_json(tmp_path / "cfg.json", obj)
             assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    def test_table_is_the_first_table_of_the_trial(self, tmp_path):
+        # one trial config drives both commands: synth writes the table the
+        # trial starts from, byte for byte
+        cfg = write_json(tmp_path / "cfg.json", {**EST_CFG, "d": 2, "shots": 100})
+        synth, est = tmp_path / "synth", tmp_path / "est"
+        assert main(["synth", "--config", cfg, "--out", str(synth)]) == EXIT_OK
+        assert main(["estimate", "--config", cfg, "--out", str(est), "--dump"]) == EXIT_OK
+        assert (synth / "table.json").read_bytes() == (est / "table.json").read_bytes()
 
     def test_malformed_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -137,7 +147,7 @@ class TestEstimate:
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt key must not fall back to a default, on either path;
-        # trials measure with K = d outcomes, so n_outcomes is no trial key,
+        # K is d, or the length of degeneracies, so n_outcomes is no trial key,
         # and the ADMM's over-relaxation is fixed, so alpha is no solver key
         trial = {**EST_CFG, "bogus": 1}
         outcomes = {**EST_CFG, "n_outcomes": 3}
@@ -190,6 +200,8 @@ class TestEstimate:
             ({"d": 2.5, "data": data}, "d"),
             ({"d": 2, "data": data, "tau": True}, "tau"),
             ({"d": 2, "data": data, "epsilon": "0.1"}, "epsilon"),
+            ({"d": 2, "data": data, "degeneracies": {"a": 1}}, "degeneracy"),
+            ({"d": 2, "data": data, "degeneracies": [[1, 1], [1, 1]]}, "degeneracy"),
         ):
             cfg = write_json(tmp_path / "e.json", obj)
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

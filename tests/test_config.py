@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from gramscope.batch import BatchSpec, batch_spec_from_json
-from gramscope.cli import DataConfig, SynthConfig
+from gramscope.cli import DataConfig
 from gramscope.estimator import TrialConfig, trial_config_from_json
 from gramscope.solver import SolverOptions
 from gramscope.synth import DataTable, from_json
@@ -19,7 +19,6 @@ LOADERS = {
     SolverOptions: (lambda obj: from_json(SolverOptions, obj), {}),
     TrialConfig: (trial_config_from_json, TRIAL),
     BatchSpec: (batch_spec_from_json, {"templates": [TRIAL], "trials_per_template": 1}),
-    SynthConfig: (lambda obj: from_json(SynthConfig, obj), TRIAL),
     DataConfig: (lambda obj: from_json(DataConfig, obj), {"d": 2, "data": "recorded"}),
     DataTable: (
         lambda obj: from_json(DataTable, obj),

@@ -17,7 +17,7 @@ from gramscope.estimator import (
     trial_config_from_json,
 )
 from gramscope.gram import GramMatrix, gram, realize
-from gramscope.solver import SolverOptions
+from gramscope.solver import SolverOptions, solve_trace_min
 from gramscope.synth import sample_ensemble
 
 
@@ -46,6 +46,8 @@ class TestTrialConfig:
             TrialConfig(d=2, n_states=1, n_measurements=1, shots=0)
         with pytest.raises(ValueError):
             TrialConfig(d=2, n_states=1, n_measurements=1, epsilon=-0.1)
+        with pytest.raises(ValueError, match="degeneracy"):
+            TrialConfig(d=3, n_states=1, n_measurements=1, degeneracies=[2, 2])
 
 
 class TestEstimateTrivial:
@@ -63,7 +65,7 @@ class TestEstimateTrivial:
         assert m.max_entry_error < 1e-5
 
     def test_rejects_k_neq_d(self):
-        # trials measure with K = d outcomes, so n_outcomes is no trial key
+        # K is d, or the length of degeneracies, so n_outcomes is no trial key
         with pytest.raises(ValueError, match="n_outcomes"):
             trial_config_from_json({"d": 2, "n_states": 2, "n_measurements": 2, "n_outcomes": 3})
 
@@ -234,6 +236,32 @@ class TestEstimateEndToEnd:
         table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             solve_table(replace(table, values=2 * table.values), 2)
+
+    def test_degenerate_trial_shares_one_pattern(self, monkeypatch):
+        # every measurement, the added one too, has the [2, 1] pattern: K = 2
+        # outcomes and diag(2, 1) pins on its block (no recovery asserted)
+        solved = []
+
+        def spy(prob, options=None):
+            solved.append(prob.knowledge)
+            return solve_trace_min(prob, options)
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", spy)
+        cfg = TrialConfig(
+            d=3, n_states=3, n_measurements=3, degeneracies=[2, 1], state_first=False,
+            max_augmentations=1, solver=SolverOptions(max_iters=300),
+        )
+        est, ens = estimate(cfg)
+        assert est.augmentations == 1
+        assert ens.n_measurements == est.table.n_measurements == 4
+        assert est.table.n_outcomes == 2
+        kn = solved[-1]
+        block = {(int(i), int(j)): lo for i, j, lo, _ in kn.constraints if i >= kn.split}
+        expected = {}
+        for v in range(4):
+            base = kn.split + 2 * v
+            expected.update({(base, base): 2.0, (base, base + 1): 0.0, (base + 1, base + 1): 1.0})
+        assert block == expected
 
     @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("shots", [None, 1000, 10**6])

@@ -86,6 +86,8 @@ class TestSampleProjectiveMeasurement:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_projective_measurement(3, rng, degeneracies=[2, 2])
+        with pytest.raises(ValueError, match="integer multiplicities"):
+            sample_projective_measurement(3, rng, degeneracies=[1.5, 1.5])
 
 
 class TestBornTable:
