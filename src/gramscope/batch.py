@@ -37,6 +37,9 @@ class BatchSpec:
             raise ValueError("jobs must be >= 1")
         if not self.templates:
             raise ValueError("batch needs at least one template")
+        for ti, template in enumerate(self.templates):
+            if not isinstance(template, TrialConfig):
+                raise ValueError(f"template {ti} must be a TrialConfig, got {template!r}")
 
 
 def batch_spec_from_json(obj: dict) -> BatchSpec:
@@ -63,6 +66,8 @@ def run_trial(cfg: TrialConfig) -> dict:
         "augmentations": est.augmentations,
         "objective": est.report.objective,
         "iterations": est.report.iterations,
+        "total_iterations": est.total_iterations,
+        "solves": est.solves,
         "converged": est.report.converged,
         "seconds": est.report.seconds,
     }
@@ -140,6 +145,7 @@ def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
                 "mean_max_error": float(np.mean([r["max_entry_error"] for r in chunk])),
                 "max_max_error": float(np.max([r["max_entry_error"] for r in chunk])),
                 "mean_iterations": float(np.mean([r["iterations"] for r in chunk])),
+                "mean_total_iterations": float(np.mean([r["total_iterations"] for r in chunk])),
             }
         )
         report.timing.append(

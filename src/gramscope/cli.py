@@ -137,6 +137,8 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
+        "solves": est.solves,
+        "total_iterations": est.total_iterations,
         "report": est.report,
     }
     out.mkdir(parents=True, exist_ok=True)
@@ -160,6 +162,8 @@ def cmd_estimate(args) -> int:
         "certified": est.certified,
         "target_rank": est.target_rank,
         "augmentations": est.augmentations,
+        "solves": est.solves,
+        "total_iterations": est.total_iterations,
         "report": est.report,
         "metrics": metrics,
     }

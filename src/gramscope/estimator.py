@@ -90,7 +90,10 @@ class TrialConfig:
 @dataclass
 class GramEstimate:
     """Solver output with rank certificate, optional gauge-fixed factor, and
-    the data table that was solved."""
+    the data table that was solved. ``report`` is the last solve's;
+    ``solves`` and ``total_iterations`` count the solves and their ADMM
+    iterations over the whole trial, augmentation steps included; for
+    ``solve_table`` that is its one solve."""
 
     g_hat: GramMatrix
     certified: bool
@@ -99,6 +102,8 @@ class GramEstimate:
     report: SolverReport
     factor_matrix: np.ndarray | None = None
     table: DataTable | None = None
+    solves: int = 0
+    total_iterations: int = 0
 
 
 def trial_config_from_json(obj: dict) -> TrialConfig:
@@ -175,6 +180,8 @@ def solve_table(
         report=report,
         factor_matrix=factor(g_hat, target_rank) if certified else None,
         table=table,
+        solves=1,
+        total_iterations=report.iterations,
     )
 
 
@@ -198,9 +205,11 @@ def estimate(
     table = born_table(ens, cfg.shots, rng)
 
     augmentations = 0
+    total_iterations = 0
     add_state_next = cfg.state_first
     while True:
         est = solve_table(table, cfg.d, cfg.degeneracies, cfg.epsilon, cfg.tau, cfg.solver)
+        total_iterations += est.report.iterations
         if est.certified or not est.report.converged or augmentations >= cfg.max_augmentations:
             break
         if add_state_next:
@@ -220,6 +229,8 @@ def estimate(
         augmentations += 1
 
     est.augmentations = augmentations
+    est.solves = augmentations + 1
+    est.total_iterations = total_iterations
     return est, ens
 
 

@@ -26,6 +26,13 @@ class GramMatrix:
     values: np.ndarray
     n_states: int
 
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"Gram values must be a square matrix, got shape {shape}")
+        if not 0 <= self.n_states <= shape[0]:
+            raise ValueError(f"n_states={self.n_states} is not in [0, {shape[0]}]")
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -69,6 +76,8 @@ class Knowledge:
     flat_ji: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.split is not None and not 0 <= self.split <= self.n:
+            raise ValueError(f"split={self.split} is not in [0, n={self.n}]")
         pins = self.constraints
         if not (isinstance(pins, np.ndarray) and pins.dtype == PIN):
             pins = np.array([tuple(p) for p in pins], dtype=PIN)

@@ -16,6 +16,17 @@ from functools import cache
 
 import numpy as np
 
+# numpy.linalg.eigh and numpy.linalg.solve call these LAPACK gufuncs behind
+# Python wrappers (_makearray, _commonType, an errstate context per call).
+# At n=15, the size of a d=2 ADMM iteration, the wrappers cost about 4 us
+# of a 29 us eigh and 5 us of an 11 us 20 x 20 solve, and one iteration
+# went from about 67 to 57 us without them (numpy 2.4, 2-core Xeon, one
+# BLAS thread). ``_eigh`` and ``_solve`` call the same gufuncs with the
+# signatures the wrappers pick for float64 input, so their results are
+# bit-identical. This is the one module that imports a private numpy
+# module (``tests/test_imports.py`` checks it).
+from numpy.linalg import _umath_linalg
+
 #: Symmetry residual above which inputs are rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-8
 
@@ -59,6 +70,37 @@ def herm_basis(d: int) -> np.ndarray:
     basis = np.stack(elements)
     basis.flags.writeable = False
     return basis
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh(a)`` of a float64 symmetric matrix, without the
+    wrapper. A failed call (a matrix that is not square, or a LAPACK error,
+    which fills the whole output with NaN and warns) is repeated through
+    ``numpy.linalg.eigh``, which raises its ``LinAlgError`` as it would
+    have done alone, or returns what it would have returned."""
+    try:
+        w, u = _umath_linalg.eigh_lo(a, signature="d->dd")
+    except (ValueError, FloatingPointError, RuntimeWarning):
+        return np.linalg.eigh(a)
+    if w.size and w[0] != w[0]:
+        return np.linalg.eigh(a)
+    return w, u
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.solve(a, b)`` for a float64 matrix and a vector
+    ``b`` (float32 or float64), without the wrapper; the result is float64.
+    A failed call (shapes that do not fit, or a singular ``a``, whose LAPACK
+    error fills the whole output with NaN and warns) is repeated through
+    ``numpy.linalg.solve``, which raises what it would have raised alone:
+    ``LinAlgError`` for a singular or non-square ``a``."""
+    try:
+        x = _umath_linalg.solve1(a, b, signature="dd->d")
+    except (ValueError, FloatingPointError, RuntimeWarning):
+        return np.linalg.solve(a, b)
+    if x.size and x[0] != x[0]:
+        return np.linalg.solve(a, b)
+    return x
 
 
 def hermiticity_residual(h: np.ndarray) -> float:
@@ -138,7 +180,7 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     aq = a @ q
     x = np.linalg.qr(np.hstack((q, aq - q @ (q.T @ aq))))[0]
     ax = a @ x
-    w, s = np.linalg.eigh(x.T @ ax)
+    w, s = _eigh(x.T @ ax)
     first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
     keep = max(first - PARTIAL_BUFFER, 0)
     q = x @ s[:, keep:]
@@ -178,6 +220,12 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     without ``warm``, the result is the exact projection; that full step
     always keeps the eigenvectors above 0, plus ``PARTIAL_BUFFER`` more,
     as the next warm basis.
+
+    Both steps call numpy's LAPACK eigensolver directly (``_eigh``), which
+    gives exactly ``numpy.linalg.eigh``'s result without its per-call
+    wrapper. A matrix that is not square, or one LAPACK cannot decompose
+    (all NaN), raises ``numpy.linalg.LinAlgError`` as ``numpy.linalg.eigh``
+    does; the second also lets numpy's RuntimeWarning through.
     """
     if not hi >= 0:
         raise ValueError(f"empty spectral box: hi={hi} is not >= 0")
@@ -190,7 +238,7 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
             warm.partial_steps += 1
             return out
         warm.failed_partial_steps += 1
-    w, u = np.linalg.eigh(a)
+    w, u = _eigh(a)
     first = int(w.searchsorted(0.0, "right"))  # first positive eigenvalue
     if warm is not None:
         warm.basis = u[:, max(first - PARTIAL_BUFFER, 0) :].copy()

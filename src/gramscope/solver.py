@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import GramMatrix, Knowledge
-from .hermitian import WarmSpectrum, clip_spectrum
+from .hermitian import WarmSpectrum, _solve, clip_spectrum
 from .synth import check_types
 
 #: Initial ADMM penalty rho.
@@ -212,15 +212,19 @@ def solve_trace_min(
     exactly one ``clip_spectrum`` call: a full eigendecomposition, or a
     certified partial one (``SolverReport.partial_steps`` counts these,
     ``failed_partial_steps`` the attempts that were not certified and fell
-    back to the full eigendecomposition) whose Frobenius error is at most ``PARTIAL_TOL * r`` of the previous
-    point, the relative-error rule of inexact ADMM. The next point is the
-    type-II Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps;
-    when an extrapolated point has a larger residual r than the point
-    before it, the solver takes the plain step F from that earlier point
-    instead and drops the history (``SolverReport.rejected_steps`` counts
-    these). Every ``RHO_UPDATE_EVERY`` iterations rho, which starts at
-    ``RHO``, is balanced against r and the z-step rho * ||z - z_prev||_F,
-    and the history is dropped whenever rho changes.
+    back to the full eigendecomposition) whose Frobenius error is at most
+    ``PARTIAL_TOL * r`` of the previous point, the relative-error rule of
+    inexact ADMM. The next point is the type-II Anderson extrapolation of
+    the last ``ANDERSON_MEMORY`` steps, whose coefficients come from one
+    LAPACK solve called directly (``hermitian._solve``: the result of
+    ``numpy.linalg.solve`` without its per-call wrapper, which takes about
+    half of that call's time at memory 20); when an extrapolated point has a larger
+    residual r than the point before it, the solver takes the plain step F
+    from that earlier point instead and drops the history
+    (``SolverReport.rejected_steps`` counts these). Every
+    ``RHO_UPDATE_EVERY`` iterations rho, which starts at ``RHO``, is
+    balanced against r and the z-step rho * ||z - z_prev||_F, and the
+    history is dropped whenever rho changes.
 
     The loop stops on the residual of the evaluated pair, whatever point
     Anderson chose: rho (v - z) is a normal of the box at z, and
@@ -309,7 +313,7 @@ def solve_trace_min(
             normal[slot, :k] = normal[:k, slot] = dg[:k] @ dg[slot]
             # the floor keeps an all-zero difference from making it singular
             normal[slot, slot] += ANDERSON_RIDGE * normal[slot, slot] + _TINY
-            gamma = np.linalg.solve(normal[:k, :k], dg[:k] @ x.astype(np.float32))
+            gamma = _solve(normal[:k, :k], dg[:k] @ x.astype(np.float32))
             v = f - gamma.astype(np.float32) @ df[:k]
         else:
             v = f

@@ -3,8 +3,9 @@
 Each check draws random instances and verifies a closed-form statement
 against an independent computation: the spectral bound on quantum Gram
 matrices, the POVM Hilbert-Schmidt norm budget, the rank-function
-conjugate (``rank_conjugate``, defined here), and the trace-vs-rank
-envelope inequality on the spectral box.
+conjugate (``rank_conjugate``, defined here), the trace-vs-rank
+envelope inequality on the spectral box, and the frontier at which the
+projective pins fix the rank-d^2 completion (``rigidity_deficiency``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .gram import gram, numerical_rank, r_qm
+from .estimator import born_table
+from .gram import gram, knowledge_projective, numerical_rank, r_qm, realize
 from .hermitian import clip_spectrum
 from .synth import sample_ensemble, sample_projective_measurement
 
@@ -155,6 +157,69 @@ def check_envelope(
     return {"ok": True, "trials": trials}
 
 
+def rigidity_deficiency(
+    d: int,
+    n_states: int,
+    n_measurements: int,
+    degeneracies: list[int] | None = None,
+    pure: bool = False,
+    seed: int = 0,
+) -> int:
+    """Dimension of the flexes of the projective pins at a random ensemble:
+    0 when they fix its rank-d^2 Gram matrix locally, k when a k-parameter
+    family of rank-d^2 Gram matrices meets every pin.
+
+    With P the d^2 x n realization of ``sample_ensemble(d, W, V, rng)``, the
+    pins (i, j) of ``knowledge_projective`` on its Born table (with ``pure``
+    also one (w, w) pin per state) define P -> (p_i^T p_j). Its Jacobian J
+    has one row per pin, p_j in block i and p_i in block j (2 p_i in block
+    i for a diagonal pin). The result is d^2 n - d^2 (d^2 - 1) / 2, the
+    unknowns less the orthogonal gauge, minus the number of eigenvalues of
+    J^T J above 1e-10 times the largest (Singer & Cucuringu 2010,
+    "Uniqueness of low-rank matrix completions by rigidity theory").
+    """
+    rng = np.random.default_rng(seed)
+    ens = sample_ensemble(d, n_states, n_measurements, rng, degeneracies=degeneracies)
+    p = realize(ens).T  # row i is p_i
+    pins = knowledge_projective(born_table(ens), d, degeneracies).constraints
+    i, j = pins["i"], pins["j"]
+    if pure:
+        i = np.concatenate((i, np.arange(n_states)))
+        j = np.concatenate((j, np.arange(n_states)))
+    n, dd = p.shape
+    rows = np.arange(i.size)
+    jac = np.zeros((i.size, n, dd))
+    jac[rows, i] = p[j]
+    jac[rows, j] += p[i]  # rows are distinct, so a diagonal pin adds 2 p_i
+    jac = jac.reshape(i.size, n * dd)
+    lam = np.linalg.eigvalsh(jac.T @ jac)
+    rank = int(np.count_nonzero(lam > 1e-10 * lam[-1]))
+    return dd * n - dd * (dd - 1) // 2 - rank
+
+
+def check_rigidity_frontier(rng: np.random.Generator) -> dict:
+    """At d=2 with W in {3, 5} states, the projective pins of V measurements
+    flex in 6 - V directions for 3 <= V <= 6, and purity pins make every
+    such pattern rigid.
+
+    The rank of J can only drop at a special ensemble, so a special draw
+    reads a larger deficiency than the generic one (about 1 in 100 single
+    draws at W=3 does); each cell takes the least of three draws."""
+    cells = 0
+    for w in (3, 5):
+        for v in range(3, 7):
+            for pure, expected in ((False, 6 - v), (True, 0)):
+                seeds = [int(s) for s in rng.integers(2**32, size=3)]
+                got = min(rigidity_deficiency(2, w, v, pure=pure, seed=s) for s in seeds)
+                if got != expected:
+                    return {
+                        "ok": False, "w": w, "v": v, "pure": pure, "seeds": seeds,
+                        "deficiency": got, "expected": expected,
+                    }
+                cells += 1
+    return {"ok": True, "cells": cells}
+
+
 #: Largest matrix size the brute-force checks accept.
 MAX_BRUTEFORCE_N = 6
 
@@ -172,6 +237,7 @@ def run_all_checks(n: int, trials: int, seed: int) -> dict:
             min(trials, 500), rng, n=n, mc_samples=min(100_000, 200 * trials)
         ),
         "envelope": check_envelope(trials, rng, n=n),
+        "rigidity_frontier": check_rigidity_frontier(rng),
     }
     results["ok"] = all(r["ok"] for r in results.values())
     return results

@@ -57,6 +57,13 @@ class TestBatchSpec:
         with pytest.raises(ValueError):
             BatchSpec(templates=[quick_template()], trials_per_template=0)
 
+    def test_rejects_template_that_is_not_a_trial_config(self):
+        # a JSON dict belongs in batch_spec_from_json; accepted here, it
+        # would fail inside run_batch
+        raw = {"d": 2, "n_states": 3, "n_measurements": 3}
+        with pytest.raises(ValueError, match="template 1 must be a TrialConfig"):
+            BatchSpec([quick_template(), raw], 1)
+
 
 class TestRunTrial:
     def test_record_fields(self):
@@ -77,6 +84,8 @@ class TestRunTrial:
             assert key in rec
         assert rec["seed"] == 5
         assert rec["certified"] and rec["success"]
+        assert rec["solves"] == 1
+        assert rec["total_iterations"] == rec["iterations"]
 
 
 class TestRunBatch:
@@ -91,6 +100,7 @@ class TestRunBatch:
         assert t["successes"] + t["failures"] == 4
         assert t["successes"] == 4  # d = 1 always recovers
         assert t["zero_augmentations"] == 4
+        assert t["mean_total_iterations"] == np.mean([r["total_iterations"] for r in records])
 
     def test_report_is_deterministic(self):
         spec = BatchSpec(

@@ -110,6 +110,8 @@ class TestEstimate:
         assert result["certified"]
         assert result["target_rank"] == 1
         assert result["metrics"]["success"]
+        assert result["solves"] == result["augmentations"] + 1
+        assert result["total_iterations"] >= result["report"]["iterations"]
 
     def test_dump_writes_artifacts(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", EST_CFG)
@@ -143,6 +145,8 @@ class TestEstimate:
         assert main(["estimate", "--config", est_cfg, "--out", str(out)]) == EXIT_OK
         result = json.loads((out / "estimate.json").read_text())
         assert result["target_rank"] == 4
+        assert result["solves"] == 1
+        assert result["total_iterations"] == result["report"]["iterations"]
         assert (out / "g_hat.json").exists()
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
@@ -332,8 +336,9 @@ class TestCheckTheory:
     def test_passes_and_prints(self, capsys):
         assert main(["check-theory", "--n", "3", "--trials", "30", "--seed", "0"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert all(line.endswith("pass") for line in lines)
+        assert lines[-1] == "rigidity_frontier: pass"
 
     def test_large_n_is_config_error(self):
         assert main(["check-theory", "--n", "9", "--trials", "5"]) == EXIT_CONFIG

@@ -95,6 +95,29 @@ class TestEstimateEndToEnd:
         recon = est.factor_matrix.T @ est.factor_matrix
         assert np.max(np.abs(recon - est.g_hat.values)) < 1e-3
 
+    def test_trial_counts_every_solve(self, monkeypatch):
+        # the measurement-first trial above augments: its record counts the
+        # iterations of every solve, not only the last one's
+        iterations = []
+
+        def spy(prob, options=None):
+            g_hat, report = solve_trace_min(prob, options)
+            iterations.append(report.iterations)
+            return g_hat, report
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", spy)
+        cfg = TrialConfig(
+            d=2, n_states=5, n_measurements=5, seed=1, state_first=False,
+            solver=SolverOptions(max_iters=30000),
+        )
+        est, _ = estimate(cfg)
+        assert est.augmentations > 0
+        assert est.solves == est.augmentations + 1 == len(iterations)
+        assert est.total_iterations == sum(iterations)
+        assert est.report.iterations == iterations[-1]
+        one = solve_table(est.table, 2, solver=cfg.solver)
+        assert (one.solves, one.total_iterations) == (1, one.report.iterations)
+
     def test_budget_exhaustion_reports_not_raises(self):
         cfg = TrialConfig(
             d=2,

@@ -5,6 +5,7 @@ import pytest
 
 from gramscope.estimator import born_table
 from gramscope.gram import (
+    GramMatrix,
     Knowledge,
     gram,
     knowledge_projective,
@@ -176,6 +177,15 @@ class TestKnowledgeValidation:
             with pytest.raises(ValueError, match="finite"):
                 Knowledge(n=2, constraints=[pin])
 
+    @pytest.mark.parametrize("split", [-1, 4, 9])
+    def test_rejects_split_outside_the_matrix(self, split):
+        with pytest.raises(ValueError, match=f"split={split} is not in"):
+            Knowledge(n=3, split=split)
+
+    @pytest.mark.parametrize("split", [None, 0, 3])
+    def test_accepts_split_in_range(self, split):
+        assert Knowledge(n=3, split=split).split == split
+
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError, match="lo <= hi"):
             Knowledge(n=2, constraints=[(0, 1, 1.0, 0.0)])
@@ -232,3 +242,20 @@ class TestRankTools:
             rank_certificate(g, 4)
         with pytest.raises(ValueError):
             rank_certificate(g, 2, tau=0.0)
+
+
+class TestGramMatrixValidation:
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+    def test_rejects_non_square_values(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            GramMatrix(values=np.zeros(shape), n_states=1)
+
+    @pytest.mark.parametrize("n_states", [-1, 4, 7])
+    def test_rejects_block_split_outside_the_matrix(self, n_states):
+        with pytest.raises(ValueError, match=f"n_states={n_states} is not in"):
+            GramMatrix(values=np.eye(3), n_states=n_states)
+
+    @pytest.mark.parametrize("n_states", [0, 3])
+    def test_accepts_empty_blocks(self, n_states):
+        g = GramMatrix(values=np.eye(3), n_states=n_states)
+        assert g.n_states + g.n_effects == 3

@@ -1,11 +1,16 @@
 """Tests for Hermitian bases, vectorization, and spectral operations."""
 
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from gramscope.hermitian import (
     PARTIAL_BUFFER,
     WarmSpectrum,
+    _eigh,
+    _solve,
     clip_spectrum,
     herm_basis,
     vectorize,
@@ -255,3 +260,81 @@ class TestClipSpectrumWarm:
         assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
         assert len(calls) == 1
         assert np.array_equal(out, clip_spectrum(m2, self.RADIUS))
+
+
+@contextmanager
+def warning_mode(mode):
+    """Run a failing LAPACK call with numpy's default error handling (its
+    RuntimeWarning is expected), with warnings as errors, with numpy set to
+    raise or to ignore invalid values."""
+    if mode == "default":
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            yield
+    elif mode == "warnings_as_errors":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+    else:
+        with np.errstate(invalid=mode):
+            yield
+
+
+ERROR_MODES = ["default", "warnings_as_errors", "raise", "ignore"]
+
+
+class TestDirectLapack:
+    """The helpers behind the ADMM iteration call numpy's LAPACK gufuncs
+    directly; a numpy upgrade that changes what numpy.linalg does shows
+    here first."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 40, 180])
+    def test_eigh_is_numpys(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        w, u = _eigh(m)
+        ref = np.linalg.eigh(m)
+        assert w.dtype == u.dtype == np.float64
+        assert np.array_equal(w, ref.eigenvalues) and np.array_equal(u, ref.eigenvectors)
+
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_solve_is_numpys(self, n):
+        # the Anderson step solves a float64 system with a float32 right side
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + np.eye(n)
+        b = rng.standard_normal(n).astype(np.float32)
+        x = _solve(a, b)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, np.linalg.solve(a, b))
+
+    def test_partly_nan_input_gives_numpys_result(self):
+        # LAPACK may return without error on a NaN entry; the result is then
+        # numpy's own, NaNs included
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = np.nan
+        w, u = _eigh(m)
+        ref = np.linalg.eigh(m)
+        assert np.array_equal(w, ref.eigenvalues, equal_nan=True)
+        assert np.array_equal(u, ref.eigenvectors, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_clip_rejects_non_square(self, shape):
+        with pytest.raises(np.linalg.LinAlgError):
+            clip_spectrum(np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_clip_rejects_nan_matrix(self, mode):
+        with warning_mode(mode), pytest.raises(np.linalg.LinAlgError):
+            clip_spectrum(np.full((4, 4), np.nan), 1.0)
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_solve_rejects_singular_matrix(self, mode):
+        a = np.ones((3, 3))
+        with warning_mode(mode), pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            _solve(a, np.ones(3, dtype=np.float32))
+
+    def test_solve_rejects_mismatched_shapes(self):
+        # as numpy.linalg.solve does, with the gufunc's ValueError
+        with pytest.raises(ValueError, match="mismatch in its core dimension"):
+            _solve(np.eye(3), np.ones(4))

@@ -1,11 +1,13 @@
 """The package runs on numpy and the standard library alone."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "gramscope"
 
 PROBE = """
 import sys
@@ -37,3 +39,29 @@ def test_cli_leaves_out_the_process_pool():
     # only a parallel batch imports the pool, and multiprocessing with it
     out = run_fresh("import sys, gramscope.cli; print('concurrent.futures.process' in sys.modules)")
     assert out.strip() == "False"
+
+
+def imported_modules(tree: ast.AST):
+    """Dotted names of the modules and names an AST imports: ``import a.b``
+    gives a.b, ``from a import b`` gives a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_one_module_binds_private_numpy():
+    # hermitian.py calls numpy's LAPACK gufuncs without the numpy.linalg
+    # wrappers; a numpy upgrade that moves them has that one place to fix
+    private = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = imported_modules(ast.parse(path.read_text(), str(path)))
+        found = sorted(
+            name
+            for name in names
+            if name.split(".")[0] == "numpy" and any(p.startswith("_") for p in name.split("."))
+        )
+        if found:
+            private[path.name] = found
+    assert private == {"hermitian.py": ["numpy.linalg._umath_linalg"]}

@@ -8,9 +8,11 @@ from gramscope.theory import (
     check_norm_bound,
     check_povm_norm_budget,
     check_rank_conjugate,
+    check_rigidity_frontier,
     feasible_sample_pool,
     rank_conjugate,
     rank_conjugate_bruteforce,
+    rigidity_deficiency,
     run_all_checks,
 )
 
@@ -68,8 +70,31 @@ class TestChecks:
             "povm_norm_budget",
             "rank_conjugate",
             "envelope",
+            "rigidity_frontier",
         }
 
     def test_run_all_rejects_large_n(self):
         with pytest.raises(ValueError):
             run_all_checks(7, 10, seed=0)
+
+
+class TestRigidity:
+    @pytest.mark.parametrize("w", [3, 5])
+    @pytest.mark.parametrize("v", [3, 4, 5, 6])
+    def test_d2_frontier(self, w, v):
+        # with W >= 3 the projective pins of V <= 6 measurements leave a
+        # (6 - V)-parameter family of rank-4 completions; purity fixes it
+        assert rigidity_deficiency(2, w, v) == 6 - v
+        assert rigidity_deficiency(2, w, v, pure=True) == 0
+
+    def test_below_three_states_the_rule_does_not_hold(self):
+        assert rigidity_deficiency(2, 2, 6) == 8
+        assert rigidity_deficiency(2, 10, 5) == 1
+
+    def test_d3_needs_more_data(self):
+        assert rigidity_deficiency(3, 10, 10) == 6
+        assert rigidity_deficiency(3, 12, 11) == 3
+
+    def test_frontier_check_passes(self):
+        res = check_rigidity_frontier(np.random.default_rng(6))
+        assert res == {"ok": True, "cells": 16}
