@@ -9,6 +9,7 @@ reports.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
@@ -57,6 +58,7 @@ def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:
 
 def run_trial(cfg: TrialConfig) -> dict:
     """Run one trial and flatten estimate + metrics into a JSON-ready record."""
+    start = time.perf_counter()
     est, truth = estimate(cfg)
     metrics = evaluate(est, truth)
     record = {
@@ -69,7 +71,7 @@ def run_trial(cfg: TrialConfig) -> dict:
         "total_iterations": est.total_iterations,
         "solves": est.solves,
         "converged": est.report.converged,
-        "seconds": est.report.seconds,
+        "seconds": time.perf_counter() - start,  # the whole trial, evaluation included
     }
     record.update(asdict(metrics))
     return record

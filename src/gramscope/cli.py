@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
-from .estimator import born_table, estimate, evaluate, solve_table, trial_config_from_json
+from .estimator import draw_trial, estimate, evaluate, solve_table, trial_config_from_json
 from .solver import SolverOptions
 from .synth import (
     DataTable,
@@ -29,7 +29,6 @@ from .synth import (
     dump_json,
     from_json,
     projective_multiplicities,
-    sample_ensemble,
     table_to_csv,
 )
 from .theory import MAX_BRUTEFORCE_N, run_all_checks
@@ -90,10 +89,7 @@ def cmd_synth(args) -> int:
         c = trial_config_from_json(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trial config: {exc}") from exc
-    # the ensemble and table that estimate() starts the trial from
-    rng = np.random.default_rng(c.seed)
-    ens = sample_ensemble(c.d, c.n_states, c.n_measurements, rng, c.mixed_states, c.degeneracies)
-    table = born_table(ens, c.shots, rng)
+    ens, table = draw_trial(c, np.random.default_rng(c.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(ens, out / "ensemble.json")
@@ -124,6 +120,22 @@ class DataConfig:
             raise ValueError(f"need epsilon >= 0 and tau > 0, got {self.epsilon}, {self.tau}")
 
 
+def _write_estimate(est, metrics, out: Path) -> None:
+    """Write the ``estimate.json`` of a ``GramEstimate``, with the same keys for
+    a trial and a recorded table; a table has no ground truth, so its ``metrics`` is null."""
+    result = {
+        "certified": est.certified,
+        "target_rank": est.target_rank,
+        "augmentations": est.augmentations,
+        "solves": est.solves,
+        "total_iterations": est.total_iterations,
+        "report": est.report,
+        "metrics": metrics,
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    dump_json(result, out / "estimate.json")
+
+
 def _estimate_from_data(cfg: dict, out: Path) -> int:
     """Single solve + certify on a previously recorded table (no ground
     truth, no augmentation loop)."""
@@ -134,15 +146,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimate config or table: {exc}") from exc
     est = solve_table(table, c.d, c.degeneracies, c.epsilon, c.tau, c.solver)
-    result = {
-        "certified": est.certified,
-        "target_rank": est.target_rank,
-        "solves": est.solves,
-        "total_iterations": est.total_iterations,
-        "report": est.report,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    dump_json(result, out / "estimate.json")
+    _write_estimate(est, None, out)
     dump_json(est.g_hat, out / "g_hat.json")
     return EXIT_OK
 
@@ -158,17 +162,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"bad trial config: {exc}") from exc
     est, truth = estimate(trial)
     metrics = evaluate(est, truth)
-    result = {
-        "certified": est.certified,
-        "target_rank": est.target_rank,
-        "augmentations": est.augmentations,
-        "solves": est.solves,
-        "total_iterations": est.total_iterations,
-        "report": est.report,
-        "metrics": metrics,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    dump_json(result, out / "estimate.json")
+    _write_estimate(est, metrics, out)
     if args.dump:
         dump_json(est.g_hat, out / "g_hat.json")
         dump_json(truth, out / "ground_truth.json")

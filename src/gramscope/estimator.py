@@ -1,12 +1,10 @@
 """End-to-end Gram estimation: solve, certify rank, augment until certified.
 
-A trial samples a hidden ensemble, pins the projective knowledge on the
-observed table, runs the trace-minimization completion, and checks the
-|eigenvalue| tail of the estimate against the rank of the data table.
-While a converged solve fails the certificate and budget remains, one
-state or one measurement is added (state first, alternating), drawn by
-``sample_ensemble`` like the trial's others, and the enlarged table is
-solved afresh, exactly as ``solve_table`` solves a recorded one.
+A trial starts from the ensemble and table that ``draw_trial`` draws (the
+two ``gramscope synth`` writes) and solves each table with ``solve_table``.
+While a converged solve fails the rank certificate and budget remains, the
+trial grows by one state (a row) or one measurement (K columns), state
+first and alternating, drawn by ``sample_ensemble`` like the others.
 """
 
 from __future__ import annotations
@@ -185,9 +183,17 @@ def solve_table(
     )
 
 
-def estimate(
-    cfg: TrialConfig, rng: np.random.Generator | None = None
-) -> tuple[GramEstimate, Ensemble]:
+def draw_trial(cfg: TrialConfig, rng: np.random.Generator) -> tuple[Ensemble, DataTable]:
+    """The hidden ensemble and the table a trial starts from, drawn from
+    ``rng`` (``default_rng(cfg.seed)`` in ``estimate`` and ``gramscope
+    synth``): the ensemble, then the table's multinomials state by state."""
+    ens = sample_ensemble(
+        cfg.d, cfg.n_states, cfg.n_measurements, rng, cfg.mixed_states, cfg.degeneracies
+    )
+    return ens, born_table(ens, cfg.shots, rng)
+
+
+def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     """Run one full estimation trial; returns the estimate and the hidden
     ground-truth ensemble for evaluation.
 
@@ -198,39 +204,30 @@ def estimate(
     solve or an exhausted augmentation budget yields ``certified=False``
     rather than an exception.
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    ens = sample_ensemble(
-        cfg.d, cfg.n_states, cfg.n_measurements, rng, cfg.mixed_states, cfg.degeneracies
-    )
-    table = born_table(ens, cfg.shots, rng)
-
-    augmentations = 0
-    total_iterations = 0
-    add_state_next = cfg.state_first
+    rng = np.random.default_rng(cfg.seed)
+    ens, table = draw_trial(cfg, rng)
+    iterations = []  # ADMM iterations of each solve, augmentations + 1 of them
     while True:
         est = solve_table(table, cfg.d, cfg.degeneracies, cfg.epsilon, cfg.tau, cfg.solver)
-        total_iterations += est.report.iterations
-        if est.certified or not est.report.converged or augmentations >= cfg.max_augmentations:
+        iterations.append(est.report.iterations)
+        if est.certified or not est.report.converged or len(iterations) > cfg.max_augmentations:
             break
-        if add_state_next:
-            new = sample_ensemble(cfg.d, 1, 0, rng, mixed=cfg.mixed_states).states
-            rows = born_table(replace(ens, states=new), cfg.shots, rng).values
-            vals = np.vstack([table.values, rows])
-            ens = replace(ens, states=ens.states + new)
-        else:
-            new = sample_ensemble(cfg.d, 0, 1, rng, degeneracies=cfg.degeneracies).povms
-            cols = born_table(replace(ens, povms=new), cfg.shots, rng).values
-            vals = np.hstack([table.values, cols])
-            ens = replace(ens, povms=ens.povms + new)
-        table = replace(
-            table, values=vals, n_states=ens.n_states, n_measurements=ens.n_measurements
+        add_state = int(cfg.state_first == (len(iterations) % 2 == 1))
+        new = sample_ensemble(
+            cfg.d, add_state, 1 - add_state, rng, cfg.mixed_states, cfg.degeneracies
         )
-        add_state_next = not add_state_next
-        augmentations += 1
+        # a new state gives a row against every measurement, a measurement K columns
+        block = replace(ens, states=new.states or ens.states, povms=new.povms or ens.povms)
+        part = born_table(block, cfg.shots, rng).values
+        values = np.concatenate([table.values, part], axis=1 - add_state)
+        ens = replace(ens, states=ens.states + new.states, povms=ens.povms + new.povms)
+        table = replace(
+            table, values=values, n_states=ens.n_states, n_measurements=ens.n_measurements
+        )
 
-    est.augmentations = augmentations
-    est.solves = augmentations + 1
-    est.total_iterations = total_iterations
+    est.augmentations = len(iterations) - 1
+    est.solves = len(iterations)
+    est.total_iterations = sum(iterations)
     return est, ens
 
 

@@ -51,6 +51,8 @@ class Ensemble:
 
 #: Largest |sum - 1| of the outcome frequencies of one (state, measurement).
 ROW_SUM_TOL = 1e-9
+#: Largest violation of a state or POVM invariant that ``validate_ensemble`` accepts.
+ENSEMBLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,28 +101,28 @@ class DataTable:
             raise ValueError("per-measurement outcome frequencies do not sum to 1")
 
 
-def validate_ensemble(ens: Ensemble, tol: float = 1e-10) -> None:
+def validate_ensemble(ens: Ensemble) -> None:
     """Check state/POVM invariants; raise ValueError on the first violation."""
     d = ens.dim
     for w, rho in enumerate(ens.states):
         if rho.shape != (d, d):
             raise ValueError(f"state {w} has shape {rho.shape}, expected ({d}, {d})")
-        if hermiticity_residual(rho) > tol:
+        if hermiticity_residual(rho) > ENSEMBLE_TOL:
             raise ValueError(f"state {w} is not Hermitian")
         lam = np.linalg.eigvalsh(rho)
-        if lam.min() < -tol:
+        if lam.min() < -ENSEMBLE_TOL:
             raise ValueError(f"state {w} is not PSD (lambda_min={lam.min():.3e})")
-        if abs(np.trace(rho).real - 1.0) > tol:
+        if abs(np.trace(rho).real - 1.0) > ENSEMBLE_TOL:
             raise ValueError(f"state {w} has trace {np.trace(rho).real}")
     for v, povm in enumerate(ens.povms):
         total = np.zeros((d, d), dtype=complex)
         for k, eff in enumerate(povm):
-            if hermiticity_residual(eff) > tol:
+            if hermiticity_residual(eff) > ENSEMBLE_TOL:
                 raise ValueError(f"effect ({v},{k}) is not Hermitian")
-            if np.linalg.eigvalsh(eff).min() < -tol:
+            if np.linalg.eigvalsh(eff).min() < -ENSEMBLE_TOL:
                 raise ValueError(f"effect ({v},{k}) is not PSD")
             total += eff
-        if np.max(np.abs(total - np.eye(d))) > tol:
+        if np.max(np.abs(total - np.eye(d))) > ENSEMBLE_TOL:
             raise ValueError(f"POVM {v} does not sum to the identity")
     if ens.projective_nondegenerate:
         for v, povm in enumerate(ens.povms):

@@ -19,13 +19,16 @@ from .gram import gram, knowledge_projective, numerical_rank, r_qm, realize
 from .hermitian import clip_spectrum
 from .synth import sample_ensemble, sample_projective_measurement
 
+#: Dimensions d that the norm-bound and POVM-budget checks draw from.
+CHECK_DIMS = (2, 3, 4)
 
-def check_norm_bound(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> dict:
+
+def check_norm_bound(trials: int, rng: np.random.Generator) -> dict:
     """||G|| <= W + V*d over random valid ensembles, plus ||G|| <= ||G||_F
     and the state-norm window [1/sqrt(d), 1]."""
     worst = -np.inf
     for t in range(trials):
-        d = int(rng.choice(dims))
+        d = int(rng.choice(CHECK_DIMS))
         w = int(rng.integers(1, 7))
         v = int(rng.integers(1, 5))
         mixed = bool(rng.integers(0, 2))
@@ -52,7 +55,7 @@ def check_norm_bound(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> d
     return {"ok": True, "trials": trials, "worst_slack": worst}
 
 
-def check_povm_norm_budget(trials: int, rng: np.random.Generator, dims=(2, 3, 4)) -> dict:
+def check_povm_norm_budget(trials: int, rng: np.random.Generator) -> dict:
     """sum_k ||E_k||_F^2 <= d for POVMs, with equality for every projective
     one: sum_k tr(E_k^2) <= sum_k tr(E_k) = d, with equality iff each
     E_k^2 = E_k. The samples are non-degenerate and degenerate [d - 1, 1]
@@ -60,7 +63,7 @@ def check_povm_norm_budget(trials: int, rng: np.random.Generator, dims=(2, 3, 4)
     projective measurements."""
     equalities = 0
     for t in range(trials):
-        d = int(rng.choice(dims))
+        d = int(rng.choice(CHECK_DIMS))
         kind = int(rng.integers(0, 3))
         if kind == 0:
             povm = sample_projective_measurement(d, rng)

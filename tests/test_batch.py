@@ -11,7 +11,7 @@ from gramscope.batch import (
     trial_seed,
 )
 from gramscope.estimator import TrialConfig
-from gramscope.solver import SolverOptions
+from gramscope.solver import SolverOptions, solve_trace_min
 
 
 def quick_template(**kw):
@@ -86,6 +86,24 @@ class TestRunTrial:
         assert rec["certified"] and rec["success"]
         assert rec["solves"] == 1
         assert rec["total_iterations"] == rec["iterations"]
+
+    def test_seconds_cover_every_solve(self, monkeypatch):
+        # an augmenting trial's record times the whole trial, not its last solve
+        solve_seconds = []
+
+        def spy(prob, options=None):
+            g_hat, report = solve_trace_min(prob, options)
+            solve_seconds.append(report.seconds)
+            return g_hat, report
+
+        monkeypatch.setattr("gramscope.estimator.solve_trace_min", spy)
+        cfg = TrialConfig(
+            d=2, n_states=5, n_measurements=5, seed=1, state_first=False,
+            solver=SolverOptions(max_iters=30000),
+        )
+        rec = run_trial(cfg)
+        assert rec["solves"] == len(solve_seconds) > 1
+        assert rec["seconds"] >= sum(solve_seconds)
 
 
 class TestRunBatch:

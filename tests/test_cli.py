@@ -149,6 +149,12 @@ class TestEstimate:
         assert result["total_iterations"] == result["report"]["iterations"]
         assert (out / "g_hat.json").exists()
 
+        # the same keys as a trial's estimate.json; a table has no ground truth
+        trial, trial_cfg = tmp_path / "trial", write_json(tmp_path / "t.json", EST_CFG)
+        assert main(["estimate", "--config", trial_cfg, "--out", str(trial)]) == EXIT_OK
+        assert set(result) == set(json.loads((trial / "estimate.json").read_text()))
+        assert result["augmentations"] == 0 and result["metrics"] is None
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt key must not fall back to a default, on either path;
         # K is d, or the length of degeneracies, so n_outcomes is no trial key,

@@ -17,7 +17,7 @@ from gramscope.estimator import (
     trial_config_from_json,
 )
 from gramscope.gram import GramMatrix, gram, realize
-from gramscope.solver import SolverOptions, solve_trace_min
+from gramscope.solver import SolverOptions, SolverReport, solve_trace_min
 from gramscope.synth import sample_ensemble
 
 
@@ -307,6 +307,56 @@ class TestEstimateEndToEnd:
             ens = sample_ensemble(2, 4, 3, rng, mixed=mixed)
             table = born_table(ens, shots, rng)
             assert np.array_equal(est.table.values, table.values)
+
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("shots", [None, 10**6])
+    @pytest.mark.parametrize("state_first", [True, False])
+    def test_growth_draws_one_state_or_measurement_per_step(
+        self, state_first, shots, mixed, monkeypatch
+    ):
+        # every step draws one state or one measurement, alternating from
+        # state_first, then its new row or columns' multinomials state by
+        # state; a solve that never certifies makes the trial grow to budget
+        report = SolverReport(
+            iterations=1, primal_residual=0.0, dual_residual=0.0, objective=0.0,
+            converged=True, seconds=0.0,
+        )
+
+        def never_certified(table, *args, **kwargs):
+            return GramEstimate(
+                g_hat=None, certified=False, target_rank=0, augmentations=0,
+                report=report, table=table,
+            )
+
+        monkeypatch.setattr("gramscope.estimator.solve_table", never_certified)
+        cfg = TrialConfig(
+            d=2, n_states=3, n_measurements=2, seed=7, shots=shots, state_first=state_first,
+            mixed_states=mixed, max_augmentations=3,
+        )
+        est, ens = estimate(cfg)
+        assert est.augmentations == 3
+
+        rng = np.random.default_rng(cfg.seed)
+        ref = sample_ensemble(2, 3, 2, rng, mixed=mixed)
+        values = born_table(ref, shots, rng).values
+        add_state = state_first
+        for _ in range(3):
+            if add_state:
+                new = sample_ensemble(2, 1, 0, rng, mixed=mixed).states
+                rows = born_table(replace(ref, states=new), shots, rng).values
+                values = np.vstack([values, rows])
+                ref = replace(ref, states=ref.states + new)
+            else:
+                new = sample_ensemble(2, 0, 1, rng).povms
+                cols = born_table(replace(ref, povms=new), shots, rng).values
+                values = np.hstack([values, cols])
+                ref = replace(ref, povms=ref.povms + new)
+            add_state = not add_state
+        assert np.array_equal(est.table.values, values)
+        assert (ens.n_states, ens.n_measurements) == (ref.n_states, ref.n_measurements)
+        for ours, theirs in zip(ens.states + ens.povms, ref.states + ref.povms):
+            assert np.array_equal(np.asarray(ours), np.asarray(theirs))
 
 
 class TestEvaluate:

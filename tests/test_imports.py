@@ -65,3 +65,23 @@ def test_one_module_binds_private_numpy():
         if found:
             private[path.name] = found
     assert private == {"hermitian.py": ["numpy.linalg._umath_linalg"]}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion that leaves its import behind fails here; __init__.py
+    # imports names to export them, so it is left out
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if bound - used:
+            unused[path.name] = sorted(bound - used)
+    assert unused == {}
