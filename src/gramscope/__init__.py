@@ -4,6 +4,7 @@ frequencies by trace-minimization semidefinite completion."""
 from .estimator import (
     GramEstimate,
     Metrics,
+    SolveConfig,
     TrialConfig,
     born_table,
     estimate,
@@ -52,6 +53,7 @@ __all__ = [
     "Knowledge",
     "Metrics",
     "SdpProblem",
+    "SolveConfig",
     "SolverOptions",
     "SolverReport",
     "TrialConfig",

@@ -15,22 +15,22 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .batch import batch_spec_from_json, run_batch
-from .estimator import draw_trial, estimate, evaluate, solve_table, trial_config_from_json
-from .solver import SolverOptions
-from .synth import (
-    DataTable,
-    check_types,
-    dump_json,
-    from_json,
-    projective_multiplicities,
-    table_to_csv,
+from .estimator import (
+    SolveConfig,
+    draw_trial,
+    estimate,
+    evaluate,
+    solve_table,
+    trial_config_from_json,
 )
+from .solver import SolverOptions
+from .synth import DataTable, dump_json, from_json, projective_multiplicities, table_to_csv
 from .theory import MAX_BRUTEFORCE_N, run_all_checks
 
 EXIT_OK = 0
@@ -102,22 +102,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class DataConfig:
+@dataclass(frozen=True, kw_only=True)
+class DataConfig(SolveConfig):
     """The ``estimate`` config of a recorded table: ``data`` is the directory
-    holding its ``table.json``; the other fields are ``solve_table``'s."""
+    holding its ``table.json``; the other fields are ``SolveConfig``'s."""
 
-    d: int
     data: str
-    degeneracies: list[int] | None = None
-    epsilon: float = 0.0
-    tau: float = 1e-4
-    solver: SolverOptions = field(default_factory=SolverOptions)
-
-    def __post_init__(self):
-        check_types(self)
-        if self.epsilon < 0 or self.tau <= 0:
-            raise ValueError(f"need epsilon >= 0 and tau > 0, got {self.epsilon}, {self.tau}")
 
 
 def _write_estimate(est, metrics, out: Path) -> None:
@@ -145,7 +135,7 @@ def _estimate_from_data(cfg: dict, out: Path) -> int:
         projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimate config or table: {exc}") from exc
-    est = solve_table(table, c.d, c.degeneracies, c.epsilon, c.tau, c.solver)
+    est = solve_table(table, c)
     _write_estimate(est, None, out)
     dump_json(est.g_hat, out / "g_hat.json")
     return EXIT_OK

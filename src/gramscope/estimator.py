@@ -1,7 +1,10 @@
 """End-to-end Gram estimation: solve, certify rank, augment until certified.
 
-A trial starts from the ensemble and table that ``draw_trial`` draws (the
-two ``gramscope synth`` writes) and solves each table with ``solve_table``.
+``SolveConfig`` declares and checks the settings of one solve;
+``TrialConfig`` and the CLI's ``DataConfig`` extend it, and
+``solve_table`` solves and certifies one table under any of them. A trial
+starts from the ensemble and table that ``draw_trial`` draws (the two
+``gramscope synth`` writes) and solves each table with ``solve_table``.
 While a converged solve fails the rank certificate and budget remains, the
 trial grows by one state (a row) or one measurement (K columns), state
 first and alternating, drawn by ``sample_ensemble`` like the others.
@@ -40,49 +43,67 @@ from .synth import (
 )
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """One synthetic estimation trial.
+@dataclass(frozen=True, kw_only=True)
+class SolveConfig:
+    """The settings of one Gram completion, as ``solve_table`` runs it.
 
     Measurements are projective. ``degeneracies`` is one multiplicity list
-    (K positive integers summing to d) that every measurement, the added
-    ones too, shares; without it they are non-degenerate, with K = d
-    outcomes. ``shots`` None means asymptotic (exact Born probabilities);
-    a finite value draws the outcome frequencies of that many shots. A
-    nonzero ``epsilon`` widens the data-block constraints into intervals,
-    with or without shots, as ``solve_table`` does. Every state, the
-    added ones too, is mixed when ``mixed_states`` is set. ``gramscope
-    synth`` writes the ensemble and table a trial starts from.
+    (K positive integers summing to d) that every measurement shares;
+    without it they are non-degenerate, with K = d outcomes. A nonzero
+    ``epsilon`` widens the data-block pins into intervals of that
+    half-width, and ``tau`` bounds the eigenvalue tail that the rank
+    certificate accepts. Every check on these settings is made here, once,
+    for each config that extends this one.
     """
 
     d: int
-    n_states: int
-    n_measurements: int
-    max_augmentations: int = 20
-    tau: float = 1e-4
-    epsilon: float = 0.0
-    shots: int | None = None
-    seed: int = 0
-    state_first: bool = True
-    mixed_states: bool = False
     degeneracies: list[int] | None = None
+    epsilon: float = 0.0
+    tau: float = 1e-4
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         check_types(self)
-        if self.d < 1 or self.n_states < 1 or self.n_measurements < 1:
-            raise ValueError("d, n_states, n_measurements must be >= 1")
-        if self.max_augmentations < 0 or self.seed < 0:
-            raise ValueError("max_augmentations and seed must be >= 0")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if not isinstance(self.solver, SolverOptions):
             raise ValueError(f"solver must be SolverOptions, got {self.solver!r}")
         if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+            raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        projective_multiplicities(self.d, None, self.degeneracies)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrialConfig(SolveConfig):
+    """One synthetic estimation trial: the settings of each of its solves
+    and of the ensemble it draws and grows.
+
+    Every measurement, the added ones too, shares the degeneracy pattern.
+    ``shots`` None means asymptotic (exact Born probabilities); a finite
+    value draws the outcome frequencies of that many shots. ``epsilon``
+    applies with or without shots. Every state, the added ones too, is
+    mixed when ``mixed_states`` is set. ``gramscope synth`` writes the
+    ensemble and table a trial starts from.
+    """
+
+    n_states: int
+    n_measurements: int
+    max_augmentations: int = 20
+    shots: int | None = None
+    seed: int = 0
+    state_first: bool = True
+    mixed_states: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_states < 1 or self.n_measurements < 1:
+            raise ValueError("n_states and n_measurements must be >= 1")
+        if self.max_augmentations < 0 or self.seed < 0:
+            raise ValueError("max_augmentations and seed must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when finite")
-        projective_multiplicities(self.d, None, self.degeneracies)
 
 
 @dataclass
@@ -145,31 +166,24 @@ def born_table(
     )
 
 
-def solve_table(
-    table: DataTable,
-    d: int,
-    degeneracies: list[int] | None = None,
-    epsilon: float = 0.0,
-    tau: float = 1e-4,
-    solver: SolverOptions | None = None,
-) -> GramEstimate:
-    """Solve and certify one data table.
+def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
+    """Solve and certify one data table under the checked settings ``cfg``.
 
-    Pins the projective knowledge (data-block pins widened by ``epsilon``
-    when it is nonzero), trace-minimizes the completion in the spectral box
-    of radius W + V*d, and certifies the estimate when the solve converged
-    and its |eigenvalue| tail beyond the numerical rank of the table is
-    at most ``tau``. A certified estimate carries its rank-r factor.
+    Pins the projective knowledge (data-block pins widened by
+    ``cfg.epsilon`` when it is nonzero), trace-minimizes the completion in
+    the spectral box of radius W + V*d, and certifies the estimate when the
+    solve converged and its |eigenvalue| tail beyond the numerical rank of
+    the table is at most ``cfg.tau``. A certified estimate carries its
+    rank-r factor. A ``TrialConfig`` is a ``SolveConfig``, so
+    ``solve_table(est.table, cfg)`` re-runs a trial's last solve.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    kn = knowledge_projective(table, d, degeneracies)
-    if epsilon:
-        kn = knowledge_relax(kn, epsilon)
+    kn = knowledge_projective(table, cfg.d, cfg.degeneracies)
+    if cfg.epsilon:
+        kn = knowledge_relax(kn, cfg.epsilon)
     target_rank = numerical_rank(table.values)
-    prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, d))
-    g_hat, report = solve_trace_min(prob, solver)
-    certified = rank_certificate(g_hat, target_rank, tau) and report.converged
+    prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, cfg.d))
+    g_hat, report = solve_trace_min(prob, cfg.solver)
+    certified = rank_certificate(g_hat, target_rank, cfg.tau) and report.converged
     return GramEstimate(
         g_hat=g_hat,
         certified=certified,
@@ -208,7 +222,7 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     ens, table = draw_trial(cfg, rng)
     iterations = []  # ADMM iterations of each solve, augmentations + 1 of them
     while True:
-        est = solve_table(table, cfg.d, cfg.degeneracies, cfg.epsilon, cfg.tau, cfg.solver)
+        est = solve_table(table, cfg)
         iterations.append(est.report.iterations)
         if est.certified or not est.report.converged or len(iterations) > cfg.max_augmentations:
             break

@@ -25,16 +25,11 @@ from .hermitian import hermiticity_residual
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ground truth of a synthetic experiment: W states and V POVMs of K outcomes.
-
-    ``projective_nondegenerate`` marks ensembles whose measurements are
-    rank-1 orthogonal projector POVMs (then K = dim).
-    """
+    """Ground truth of a synthetic experiment: W states and V POVMs of K outcomes."""
 
     dim: int
     states: list = field(default_factory=list)
     povms: list = field(default_factory=list)
-    projective_nondegenerate: bool = False
 
     @property
     def n_states(self) -> int:
@@ -102,7 +97,9 @@ class DataTable:
 
 
 def validate_ensemble(ens: Ensemble) -> None:
-    """Check state/POVM invariants; raise ValueError on the first violation."""
+    """Check state/POVM invariants, each POVM a projective measurement
+    (tr(E_k E_q) = delta_kq tr(E_k), any degeneracy pattern); raise
+    ValueError on the first violation."""
     d = ens.dim
     for w, rho in enumerate(ens.states):
         if rho.shape != (d, d):
@@ -122,17 +119,12 @@ def validate_ensemble(ens: Ensemble) -> None:
             if np.linalg.eigvalsh(eff).min() < -ENSEMBLE_TOL:
                 raise ValueError(f"effect ({v},{k}) is not PSD")
             total += eff
+            for q, eq in enumerate(povm):
+                overlap = np.trace(eff @ eq).real
+                if abs(overlap - (np.trace(eff).real if k == q else 0.0)) > 1e-9:
+                    raise ValueError(f"POVM {v} effects ({k},{q}) are not orthogonal projectors")
         if np.max(np.abs(total - np.eye(d))) > ENSEMBLE_TOL:
             raise ValueError(f"POVM {v} does not sum to the identity")
-    if ens.projective_nondegenerate:
-        for v, povm in enumerate(ens.povms):
-            if len(povm) != d:
-                raise ValueError(f"projective non-degenerate POVM {v} must have {d} outcomes")
-            for k, ek in enumerate(povm):
-                for q, eq in enumerate(povm):
-                    overlap = np.trace(ek @ eq).real
-                    if abs(overlap - (1.0 if k == q else 0.0)) > 1e-9:
-                        raise ValueError(f"POVM {v} effects ({k},{q}) are not orthogonal projectors")
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -227,12 +219,7 @@ def sample_ensemble(
         for _ in range(n_states)
     ]
     povms = [sample_projective_measurement(d, rng, degeneracies) for _ in range(n_measurements)]
-    return Ensemble(
-        dim=d,
-        states=states,
-        povms=povms,
-        projective_nondegenerate=degeneracies is None,
-    )
+    return Ensemble(dim=d, states=states, povms=povms)
 
 
 def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from gramscope.estimator import (
     GramEstimate,
+    SolveConfig,
     TrialConfig,
     born_table,
     estimate,
@@ -115,7 +116,7 @@ class TestEstimateEndToEnd:
         assert est.solves == est.augmentations + 1 == len(iterations)
         assert est.total_iterations == sum(iterations)
         assert est.report.iterations == iterations[-1]
-        one = solve_table(est.table, 2, solver=cfg.solver)
+        one = solve_table(est.table, cfg)
         assert (one.solves, one.total_iterations) == (1, one.report.iterations)
 
     def test_budget_exhaustion_reports_not_raises(self):
@@ -218,13 +219,11 @@ class TestEstimateEndToEnd:
     )
     def test_augmented_trial_is_a_solve_of_its_final_table(self, cfg):
         # every solve starts cold, so a grown trial's estimate is bit for
-        # bit the one-shot solve of its final table, as the CLI's data
-        # path runs it
+        # bit the one-shot solve of its final table under the trial config
+        # itself, as the CLI's data path runs it
         est, _ = estimate(cfg)
         assert est.augmentations > 0
-        again = solve_table(
-            est.table, cfg.d, epsilon=cfg.epsilon, tau=cfg.tau, solver=cfg.solver
-        )
+        again = solve_table(est.table, cfg)
         assert np.array_equal(est.g_hat.values, again.g_hat.values)
         assert est.certified == again.certified
 
@@ -236,20 +235,21 @@ class TestEstimateEndToEnd:
             max_augmentations=0, solver=SolverOptions(max_iters=3000),
         )
         est, _ = estimate(cfg)
-        again = solve_table(est.table, 2, epsilon=0.05, solver=cfg.solver)
+        again = solve_table(est.table, cfg)
         assert np.array_equal(est.g_hat.values, again.g_hat.values)
-        exact = solve_table(est.table, 2, solver=cfg.solver)
+        exact = solve_table(est.table, replace(cfg, epsilon=0.0))
         assert not np.array_equal(est.g_hat.values, exact.g_hat.values)
 
     @pytest.mark.parametrize("tau", [0.0, -1e-4])
     def test_solve_table_rejects_tau_before_solving(self, tau, monkeypatch):
+        # solve_table takes a checked SolveConfig, which rejects tau itself
         def never(*args, **kwargs):
             raise AssertionError("solve_trace_min ran before tau was checked")
 
         monkeypatch.setattr("gramscope.estimator.solve_trace_min", never)
         table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="tau must be > 0"):
-            solve_table(table, 2, tau=tau)
+            solve_table(table, SolveConfig(d=2, tau=tau))
 
     def test_solve_table_gets_only_checked_tables(self, monkeypatch):
         def never(*args, **kwargs):
@@ -258,7 +258,7 @@ class TestEstimateEndToEnd:
         monkeypatch.setattr("gramscope.estimator.solve_trace_min", never)
         table = born_table(sample_ensemble(2, 5, 5, np.random.default_rng(0)))
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            solve_table(replace(table, values=2 * table.values), 2)
+            solve_table(replace(table, values=2 * table.values), SolveConfig(d=2))
 
     def test_degenerate_trial_shares_one_pattern(self, monkeypatch):
         # every measurement, the added one too, has the [2, 1] pattern: K = 2

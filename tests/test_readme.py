@@ -1,13 +1,15 @@
 """The code blocks of README.md hold as written: its library snippets run,
-its `gramscope` commands parse and its trial config loads."""
+its `gramscope` commands parse and each config loads as what it is."""
 
 import json
 import re
 import shlex
 from pathlib import Path
 
-from gramscope.cli import build_parser
+from gramscope.cli import DataConfig, build_parser
 from gramscope.estimator import trial_config_from_json
+from gramscope.solver import SolverOptions
+from gramscope.synth import from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,7 +40,18 @@ def test_commands_parse():
         build_parser().parse_args(argv)
 
 
+def configs(recorded):
+    # a config with a "data" key is a recorded-table config, as the CLI reads it
+    return [obj for obj in map(json.loads, blocks("json")) if ("data" in obj) == recorded]
+
+
 def test_trial_config_loads():
-    assert blocks("json")
-    for block in blocks("json"):
-        trial_config_from_json(json.loads(block))
+    assert configs(recorded=False)
+    for obj in configs(recorded=False):
+        trial_config_from_json(obj)
+
+
+def test_data_config_loads():
+    assert configs(recorded=True)
+    for obj in configs(recorded=True):
+        from_json(DataConfig, obj, solver=lambda s: from_json(SolverOptions, s))

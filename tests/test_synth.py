@@ -11,6 +11,7 @@ import gramscope.estimator
 from gramscope.estimator import born_table
 from gramscope.synth import (
     DataTable,
+    Ensemble,
     dump_json,
     from_json,
     haar_unitary,
@@ -174,6 +175,15 @@ class TestBornTable:
                 hs = np.linalg.norm(rho)
                 assert 1 / np.sqrt(d) - 1e-9 <= hs <= 1 + 1e-9
 
+    def test_every_povm_must_be_projective(self):
+        # a degenerate pattern is projective; a 50/50 mixture of two
+        # projective measurements is a valid POVM but not a projective one
+        validate_ensemble(sample_ensemble(3, 2, 2, np.random.default_rng(5), degeneracies=[2, 1]))
+        ens = sample_ensemble(2, 2, 2, np.random.default_rng(6))
+        mix = [(a + b) / 2 for a, b in zip(*ens.povms)]
+        with pytest.raises(ValueError, match="not orthogonal projectors"):
+            validate_ensemble(Ensemble(dim=2, states=ens.states, povms=[mix]))
+
     def test_povm_norm_budget(self):
         rng = np.random.default_rng(9)
         for d in (2, 3, 4):
@@ -305,8 +315,8 @@ class TestDeterminismAndSerialization:
         ens = sample_ensemble(2, 3, 2, np.random.default_rng(18))
         dump_json(ens, tmp_path / "ensemble.json")
         obj = json.loads((tmp_path / "ensemble.json").read_text())
-        assert set(obj) == {"dim", "states", "povms", "projective_nondegenerate"}
-        assert (obj["dim"], obj["projective_nondegenerate"]) == (2, True)
+        assert set(obj) == {"dim", "states", "povms"}
+        assert obj["dim"] == 2
         # complex entries are [re, im] pairs
         states = np.array(obj["states"])
         assert states.shape == (3, 2, 2, 2)
