@@ -29,7 +29,6 @@ from .solver import (
     SdpProblem,
     SolverOptions,
     SolverReport,
-    project_knowledge,
     prox_trace_plus_knowledge,
     solve_trace_min,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "knowledge_projective",
     "knowledge_relax",
     "numerical_rank",
-    "project_knowledge",
     "prox_trace_plus_knowledge",
     "r_qm",
     "rank_certificate",

@@ -110,9 +110,29 @@ class DataConfig(SolveConfig):
     data: str
 
 
-def _write_estimate(est, metrics, out: Path) -> None:
-    """Write the ``estimate.json`` of a ``GramEstimate``, with the same keys for
-    a trial and a recorded table; a table has no ground truth, so its ``metrics`` is null."""
+def cmd_estimate(args) -> int:
+    """Run one trial, or, when the config names a ``data`` directory, one
+    solve and certificate of its recorded table (no ground truth, no
+    augmentation). Either way write ``estimate.json`` (the same keys on both
+    paths; a table's ``metrics`` is null), ``g_hat.json`` and the
+    ``table.json`` solved; a trial also writes ``ground_truth.json``."""
+    cfg = _apply_overrides(_load_json(args.config), args)
+    truth = metrics = None
+    if "data" in cfg:
+        try:
+            c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
+            table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
+            projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad estimate config or table: {exc}") from exc
+        est = solve_table(table, c)
+    else:
+        try:
+            trial = trial_config_from_json(cfg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad trial config: {exc}") from exc
+        est, truth = estimate(trial)
+        metrics = evaluate(est, truth)
     result = {
         "certified": est.certified,
         "target_rank": est.target_rank,
@@ -122,46 +142,18 @@ def _write_estimate(est, metrics, out: Path) -> None:
         "report": est.report,
         "metrics": metrics,
     }
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(result, out / "estimate.json")
-
-
-def _estimate_from_data(cfg: dict, out: Path) -> int:
-    """Single solve + certify on a previously recorded table (no ground
-    truth, no augmentation loop)."""
-    try:
-        c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
-        table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
-        projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad estimate config or table: {exc}") from exc
-    est = solve_table(table, c)
-    _write_estimate(est, None, out)
     dump_json(est.g_hat, out / "g_hat.json")
-    return EXIT_OK
-
-
-def cmd_estimate(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args)
-    out = Path(args.out)
-    if "data" in cfg:
-        return _estimate_from_data(cfg, out)
-    try:
-        trial = trial_config_from_json(cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad trial config: {exc}") from exc
-    est, truth = estimate(trial)
-    metrics = evaluate(est, truth)
-    _write_estimate(est, metrics, out)
-    if args.dump:
-        dump_json(est.g_hat, out / "g_hat.json")
+    if truth is not None:
         dump_json(truth, out / "ground_truth.json")
-        dump_json(est.table, out / "table.json")
+    dump_json(est.table, out / "table.json")
     log.info(
-        "estimate: certified=%s augmentations=%d max_err=%.2e",
+        "estimate: certified=%s augmentations=%d max_err=%s",
         est.certified,
         est.augmentations,
-        metrics.max_entry_error,
+        "n/a" if metrics is None else f"{metrics.max_entry_error:.2e}",
     )
     return EXIT_OK
 
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tau", type=float)
     p_est.add_argument("--max-iters", type=int)
     p_est.add_argument("--tol", type=float)
-    p_est.add_argument("--dump", action="store_true", help="also write g_hat / table / ground truth")
     p_est.set_defaults(func=cmd_estimate)
 
     p_batch = sub.add_parser("batch", help="run a batch of trials and summarize")

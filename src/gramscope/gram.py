@@ -63,17 +63,16 @@ class Knowledge:
     """A-priori knowledge of Gram entries: one array of pins (i, j, lo, hi).
 
     ``constraints`` accepts any sequence of (i, j, lo, hi) rows and is
-    stored as an array of dtype ``PIN``. ``split`` records the
+    stored as a read-only array of dtype ``PIN``: a copy, unless it is
+    given one that owns its data and is read-only already, so checked
+    knowledge cannot be changed in place. ``split`` records the
     state/effect block boundary W when known, which lets interval
-    relaxation target the data block. ``flat_ij`` and ``flat_ji`` are the
-    flat indices of (i, j) and (j, i) in a C-ordered n x n matrix.
+    relaxation target the data block.
     """
 
     n: int
     constraints: np.ndarray = field(default_factory=lambda: np.empty(0, PIN))
     split: int | None = None
-    flat_ij: np.ndarray = field(init=False, repr=False, compare=False)
-    flat_ji: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split is not None and not 0 <= self.split <= self.n:
@@ -81,7 +80,10 @@ class Knowledge:
         pins = self.constraints
         if not (isinstance(pins, np.ndarray) and pins.dtype == PIN):
             pins = np.array([tuple(p) for p in pins], dtype=PIN)
-            object.__setattr__(self, "constraints", pins)
+        elif pins.flags.writeable or pins.base is not None:
+            pins = pins.copy()
+        pins.flags.writeable = False
+        object.__setattr__(self, "constraints", pins)
         i, j, lo, hi = pins["i"], pins["j"], pins["lo"], pins["hi"]
         bad = (i < 0) | (i > j) | (j >= self.n)
         if bad.any():
@@ -97,8 +99,6 @@ class Knowledge:
         seen[i, j] = True
         if np.count_nonzero(seen) < len(pins):
             raise ValueError("two pins share an entry (duplicate pin)")
-        object.__setattr__(self, "flat_ij", i * self.n + j)
-        object.__setattr__(self, "flat_ji", j * self.n + i)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Views (i, j, lo, hi) of the pin array."""

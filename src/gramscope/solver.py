@@ -159,31 +159,12 @@ def _pin_rule(kn: Knowledge, at: np.ndarray, scale: np.ndarray | float = 1.0):
     return apply
 
 
-def _pin_matrix(x: np.ndarray, kn: Knowledge) -> np.ndarray:
-    """Apply the pin rule to the entries (i, j) of the n x n matrix ``x`` in
-    place and mirror them to (j, i)."""
-    _pin_rule(kn, kn.flat_ij)(x)
-    x.put(kn.flat_ji, x.take(kn.flat_ij))
-    return x
-
-
-def project_knowledge(m: np.ndarray, kn: Knowledge) -> np.ndarray:
-    """Frobenius-nearest matrix satisfying the pinned entries.
-
-    Pinned entries are clipped into [lo, hi] at (i, j) and (j, i);
-    everything else is left alone.
-    """
-    if m.shape != (kn.n, kn.n):
-        raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
-    return _pin_matrix(np.array(m, dtype=float, copy=True), kn)
-
-
 def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.ndarray:
     """argmin_X { tr(X) + (sigma/2) ||X - M||_F^2 : X in knowledge set }.
 
     Separable over entries: every diagonal entry shifts by -1/sigma, then
-    pinned entries are clipped into [lo, hi]; free off-diagonal entries
-    stay put.
+    pinned entries are clipped into [lo, hi] at (i, j) and mirrored to
+    (j, i); free off-diagonal entries stay put.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -191,7 +172,10 @@ def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.
         raise ValueError(f"matrix shape {m.shape} does not match knowledge n={kn.n}")
     x = np.array(m, dtype=float, copy=True)
     x.flat[:: kn.n + 1] -= 1.0 / sigma
-    return _pin_matrix(x, kn)
+    i, j = kn.constraints["i"], kn.constraints["j"]
+    _pin_rule(kn, i * kn.n + j)(x)
+    x[j, i] = x[i, j]
+    return x
 
 
 def solve_trace_min(
@@ -248,7 +232,7 @@ def solve_trace_min(
     kn = prob.knowledge
     radius = prob.radius
     upper, weight, full = _svec_maps(n)
-    at = full.take(kn.flat_ij)
+    at = full[kn.constraints["i"], kn.constraints["j"]]
     pin = _pin_rule(kn, at, weight.take(at))
     v = np.zeros(upper.size)
     z_mat = np.zeros((n, n))

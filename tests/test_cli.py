@@ -88,7 +88,7 @@ class TestSynth:
         cfg = write_json(tmp_path / "cfg.json", {**EST_CFG, "d": 2, "shots": 100})
         synth, est = tmp_path / "synth", tmp_path / "est"
         assert main(["synth", "--config", cfg, "--out", str(synth)]) == EXIT_OK
-        assert main(["estimate", "--config", cfg, "--out", str(est), "--dump"]) == EXIT_OK
+        assert main(["estimate", "--config", cfg, "--out", str(est)]) == EXIT_OK
         assert (synth / "table.json").read_bytes() == (est / "table.json").read_bytes()
 
     def test_malformed_json_is_config_error(self, tmp_path):
@@ -114,9 +114,13 @@ class TestEstimate:
         assert result["total_iterations"] >= result["report"]["iterations"]
 
     def test_dump_writes_artifacts(self, tmp_path):
+        # every trial writes its estimate, ground truth and table; there is
+        # no flag to ask for them
         cfg = write_json(tmp_path / "cfg.json", EST_CFG)
         out = tmp_path / "out"
-        assert main(["estimate", "--config", cfg, "--out", str(out), "--dump"]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["estimate", "--config", cfg, "--out", str(out), "--dump"])
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         for name in ("g_hat.json", "ground_truth.json", "table.json"):
             assert (out / name).exists()
         assert json.loads((out / "table.json").read_text())["shots"] is None
@@ -126,7 +130,7 @@ class TestEstimate:
         shots_cfg = {**EST_CFG, "d": 2, "shots": 100, "solver": {"max_iters": 200}}
         cfg = write_json(tmp_path / "shots.json", shots_cfg)
         out = tmp_path / "shots"
-        assert main(["estimate", "--config", cfg, "--out", str(out), "--dump"]) == EXIT_OK
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         table = json.loads((out / "table.json").read_text())
         assert table["shots"] == 100
         est, _ = estimate(trial_config_from_json(shots_cfg))
@@ -147,7 +151,8 @@ class TestEstimate:
         assert result["target_rank"] == 4
         assert result["solves"] == 1
         assert result["total_iterations"] == result["report"]["iterations"]
-        assert (out / "g_hat.json").exists()
+        assert (out / "g_hat.json").exists() and not (out / "ground_truth.json").exists()
+        assert (out / "table.json").read_bytes() == (data / "table.json").read_bytes()
 
         # the same keys as a trial's estimate.json; a table has no ground truth
         trial, trial_cfg = tmp_path / "trial", write_json(tmp_path / "t.json", EST_CFG)

@@ -199,6 +199,28 @@ class TestKnowledgeValidation:
         assert i.tolist() == [0, 1] and j.tolist() == [2, 1]
         assert lo.tolist() == [0.5, -1.0] and hi.tolist() == [0.5, 1.0]
 
+    def test_checked_pins_cannot_change_in_place(self):
+        # a write would get past the lo <= hi check made at construction
+        kn = Knowledge(n=2, constraints=[(0, 1, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="read-only"):
+            kn.constraints["lo"][0] = 9.0
+        # a writable pin array, or a read-only view of one, is copied: the
+        # caller's array stays writable and its later writes do not reach kn
+        mine = kn.constraints.copy()
+        view = mine.view()
+        view.flags.writeable = False
+        for given in (mine, view):
+            kn = Knowledge(n=2, constraints=given)
+            mine["lo"][0] = 9.0
+            assert kn.constraints["lo"][0] == 0.0
+            mine["lo"][0] = 0.0
+
+    def test_built_knowledge_is_read_only(self):
+        table = born_table(sample_ensemble(2, 2, 2, np.random.default_rng(0)))
+        kn = knowledge_projective(table, 2)
+        for built in (kn, knowledge_relax(kn, 0.1)):
+            assert not built.constraints.flags.writeable
+
 
 class TestRankTools:
     def test_numerical_rank_exact(self):

@@ -85,3 +85,21 @@ def test_no_module_imports_a_name_it_never_uses():
         if bound - used:
             unused[path.name] = sorted(bound - used)
     assert unused == {}
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    # a deleted function cannot leave a stale export behind: every name in
+    # __all__ is one that __init__.py imports, and each of them resolves
+    import gramscope
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(gramscope.__all__) == sorted(imported)
+    assert len(set(gramscope.__all__)) == len(gramscope.__all__)
+    for name in gramscope.__all__:
+        assert getattr(gramscope, name) is not None

@@ -18,7 +18,6 @@ from gramscope.solver import (
     SolverOptions,
     _pin_rule,
     _svec_maps,
-    project_knowledge,
     prox_trace_plus_knowledge,
     solve_trace_min,
 )
@@ -37,45 +36,11 @@ def instance(d, w, v, seed):
     return SdpProblem(knowledge=kn, radius=r_qm(w, v, d))
 
 
-class TestProjectKnowledge:
-    def test_pins_and_symmetrizes(self):
-        kn = exact_kn(3, [(0, 1, 0.25)])
-        out = project_knowledge(np.zeros((3, 3)), kn)
-        assert out[0, 1] == 0.25 and out[1, 0] == 0.25
-        assert out[2, 2] == 0.0
-
-    def test_interval_clamping(self):
-        kn = Knowledge(n=2, constraints=[(0, 1, -1.0, 1.0)])
-        assert project_knowledge(np.full((2, 2), 5.0), kn)[0, 1] == 1.0
-        assert project_knowledge(np.full((2, 2), -5.0), kn)[1, 0] == -1.0
-        assert project_knowledge(np.full((2, 2), 0.3), kn)[0, 1] == 0.3
-
-    def test_is_a_projection(self):
-        rng = np.random.default_rng(0)
-        kn = Knowledge(n=4, constraints=[(0, 0, 2.0, 2.0), (1, 3, 0.0, 0.5)])
-        m = rng.standard_normal((4, 4))
-        m = 0.5 * (m + m.T)
-        once = project_knowledge(m, kn)
-        assert np.array_equal(project_knowledge(once, kn), once)
-
-    def test_frobenius_nearest_sampling(self):
-        # no feasible symmetric matrix beats the projection
-        rng = np.random.default_rng(1)
-        kn = Knowledge(n=3, constraints=[(0, 2, 1.0, 1.0), (1, 1, -0.2, 0.2)])
-        m = rng.standard_normal((3, 3))
-        m = 0.5 * (m + m.T)
-        best = np.linalg.norm(project_knowledge(m, kn) - m)
-        for _ in range(300):
-            cand = rng.standard_normal((3, 3))
-            cand = project_knowledge(0.5 * (cand + cand.T), kn)
-            assert np.linalg.norm(cand - m) >= best - 1e-9
-
-
 class TestSvec:
     def test_svec_is_an_isometry_and_shares_the_pin_rule(self):
         # the loop's weighted upper triangle: expanding it gives back the
         # symmetric matrix, dot products are Frobenius products, and the pin
-        # rule applied to it is the matrix projection
+        # rule applied to it pins both (i, j) and (j, i) and nothing else
         rng = np.random.default_rng(11)
         n = 5
         kn = Knowledge(n=n, constraints=[(0, 0, 2.0, 2.0), (1, 3, 0.0, 0.5), (2, 4, -0.3, -0.3)])
@@ -85,11 +50,15 @@ class TestSvec:
         sa, sb = a.take(upper) * weight, b.take(upper) * weight
         assert np.allclose((sa / weight).take(full), a, rtol=1e-15, atol=0)
         assert sa @ sb == pytest.approx(np.vdot(a, b), rel=1e-13)
-        at = full.take(kn.flat_ij)
+        at = full[kn.constraints["i"], kn.constraints["j"]]
         _pin_rule(kn, at, weight.take(at))(sa)
         expanded = (sa / weight).take(full)
         assert np.array_equal(expanded, expanded.T)
-        assert np.allclose(expanded, project_knowledge(a, kn), rtol=1e-15, atol=0)
+        expected = a.copy()
+        expected[0, 0] = 2.0
+        expected[1, 3] = expected[3, 1] = min(max(a[1, 3], 0.0), 0.5)
+        expected[2, 4] = expected[4, 2] = -0.3
+        assert np.allclose(expanded, expected, rtol=1e-15, atol=0)
 
 
 class TestProxTracePlusKnowledge:
@@ -110,6 +79,24 @@ class TestProxTracePlusKnowledge:
         out = prox_trace_plus_knowledge(m, kn, sigma=1.0)
         assert out[0, 1] == 0.7
 
+    def test_pins_and_symmetrizes(self):
+        # a pin holds at (i, j) and at (j, i), whatever M holds at either
+        kn = exact_kn(3, [(0, 1, 0.25)])
+        m = np.zeros((3, 3))
+        m[1, 0] = 7.0
+        out = prox_trace_plus_knowledge(m, kn, sigma=1.0)
+        assert out[0, 1] == 0.25 and out[1, 0] == 0.25
+        assert out[2, 2] == -1.0
+
+    def test_interval_clamping(self):
+        # an interval pin clips its entry and mirrors the clipped value;
+        # the diagonal shift does not reach an off-diagonal entry
+        kn = Knowledge(n=2, constraints=[(0, 1, -1.0, 1.0)])
+        assert prox_trace_plus_knowledge(np.full((2, 2), 5.0), kn, 1.0)[1, 0] == 1.0
+        assert prox_trace_plus_knowledge(np.full((2, 2), -5.0), kn, 1.0)[1, 0] == -1.0
+        out = prox_trace_plus_knowledge(np.array([[0.0, 0.3], [-4.0, 0.0]]), kn, 1.0)
+        assert out[0, 1] == 0.3 and out[1, 0] == 0.3
+
     def test_exact_pins_are_bit_exact(self):
         # an exact pin is an interval with lo == hi; the clip must land on
         # the value itself, on the diagonal (after the shift) and off it
@@ -124,7 +111,8 @@ class TestProxTracePlusKnowledge:
 
     def test_is_the_argmin(self):
         # objective tr(X) + (sigma/2)||X - M||^2 over the knowledge set;
-        # the prox must beat random feasible points
+        # the prox must beat random feasible points, which the prox of
+        # random symmetric matrices supplies
         rng = np.random.default_rng(2)
         kn = Knowledge(n=3, constraints=[(0, 0, 0.0, 1.0), (1, 2, 0.4, 0.4)])
         sigma = 1.7
@@ -138,7 +126,7 @@ class TestProxTracePlusKnowledge:
         best = obj(star)
         for _ in range(500):
             cand = rng.standard_normal((3, 3))
-            cand = project_knowledge(0.5 * (cand + cand.T), kn)
+            cand = prox_trace_plus_knowledge(0.5 * (cand + cand.T), kn, sigma)
             assert obj(cand) >= best - 1e-9
 
     def test_rejects_bad_sigma(self):
