@@ -92,16 +92,6 @@ class BatchReport:
     def timing_json(self) -> dict:
         return {"templates": self.timing}
 
-    def summary_csv(self) -> str:
-        """Table-style summary: one row per template."""
-        lines = ["d,successes,failures,start_point,solver"]
-        for t in self.templates:
-            lines.append(
-                f"{t['d']},{t['successes']},{t['failures']},"
-                f"\"({t['start_point'][0]},{t['start_point'][1]})\",admm"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
     """Run all trials (optionally in parallel) and aggregate.

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 check failure or program error (with a
 traceback), 2 config or input error (a file that is not UTF-8 JSON, a
 config or recorded table its dataclass rejects), 3 I/O error.
-GRAMSCOPE_LOG in {error, warn, info, debug} controls verbosity. Flags
-override config-file values. Every JSON output file is written by
-``synth.dump_json``, a record as its dataclass fields.
+GRAMSCOPE_LOG in {error, warn, info, debug} controls verbosity. The
+``--config`` file alone holds a run's settings. Every output file is JSON
+written by ``synth.dump_json``, a record as its dataclass fields.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .estimator import (
     trial_config_from_json,
 )
 from .solver import SolverOptions
-from .synth import DataTable, dump_json, from_json, projective_multiplicities, table_to_csv
+from .synth import DataTable, dump_json, from_json, projective_multiplicities
 from .theory import MAX_BRUTEFORCE_N, run_all_checks
 
 EXIT_OK = 0
@@ -56,45 +56,32 @@ def _setup_logging() -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; anything else is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {obj!r}")
+    return obj
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
-    cfg = dict(cfg)
-    for key in ("seed", "master_seed", "shots", "epsilon", "tau", "jobs"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    max_iters, tol = getattr(args, "max_iters", None), getattr(args, "tol", None)
-    if max_iters is not None or tol is not None:
-        solver = cfg.get("solver", {})
-        if not isinstance(solver, dict):
-            raise ConfigError(f"solver must be a JSON object, got {solver!r}")
-        solver = cfg["solver"] = dict(solver)
-        if max_iters is not None:
-            solver["max_iters"] = max_iters
-        if tol is not None:
-            solver["primal_tol"] = solver["dual_tol"] = tol
-    return cfg
+def _checked(build, obj: dict, what: str):
+    """``build(obj)``, with a value it rejects raised as a ConfigError."""
+    try:
+        return build(obj)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args)
-    try:
-        c = trial_config_from_json(cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad trial config: {exc}") from exc
+    c = _checked(trial_config_from_json, _load_json(args.config), "trial config")
     ens, table = draw_trial(c, np.random.default_rng(c.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(ens, out / "ensemble.json")
     dump_json(table, out / "table.json")
-    (out / "table.csv").write_text(table_to_csv(table))
     log.info(
         "wrote ensemble and table for d=%d, W=%d, V=%d to %s",
         c.d, c.n_states, c.n_measurements, out,
@@ -116,7 +103,7 @@ def cmd_estimate(args) -> int:
     augmentation). Either way write ``estimate.json`` (the same keys on both
     paths; a table's ``metrics`` is null), ``g_hat.json`` and the
     ``table.json`` solved; a trial also writes ``ground_truth.json``."""
-    cfg = _apply_overrides(_load_json(args.config), args)
+    cfg = _load_json(args.config)
     truth = metrics = None
     if "data" in cfg:
         try:
@@ -127,11 +114,7 @@ def cmd_estimate(args) -> int:
             raise ConfigError(f"bad estimate config or table: {exc}") from exc
         est = solve_table(table, c)
     else:
-        try:
-            trial = trial_config_from_json(cfg)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad trial config: {exc}") from exc
-        est, truth = estimate(trial)
+        est, truth = estimate(_checked(trial_config_from_json, cfg, "trial config"))
         metrics = evaluate(est, truth)
     result = {
         "certified": est.certified,
@@ -159,11 +142,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    obj = _apply_overrides(_load_json(args.config), args)
-    try:
-        spec = batch_spec_from_json(obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad batch spec: {exc}") from exc
+    spec = _checked(batch_spec_from_json, _load_json(args.config), "batch spec")
     out = Path(args.out)
     (out / "trials").mkdir(parents=True, exist_ok=True)
     report, records = run_batch(spec)
@@ -173,7 +152,6 @@ def cmd_batch(args) -> int:
         dump_json(record, out / "trials" / f"template{ti}_trial{tr:03d}.json")
     dump_json(report.to_json(), out / "report.json")
     dump_json(report.timing_json(), out / "timing.json")
-    (out / "summary.csv").write_text(report.summary_csv())
     for t in report.templates:
         log.info(
             "d=%d (%d,%d): %d/%d successes",
@@ -212,26 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate an ensemble and its data table")
     p_synth.add_argument("--config", required=True)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--shots", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
     p_est = sub.add_parser("estimate", help="run one estimation trial or solve saved data")
     p_est.add_argument("--config", required=True)
     p_est.add_argument("--out", required=True)
-    p_est.add_argument("--seed", type=int)
-    p_est.add_argument("--shots", type=int)
-    p_est.add_argument("--epsilon", type=float)
-    p_est.add_argument("--tau", type=float)
-    p_est.add_argument("--max-iters", type=int)
-    p_est.add_argument("--tol", type=float)
     p_est.set_defaults(func=cmd_estimate)
 
     p_batch = sub.add_parser("batch", help="run a batch of trials and summarize")
     p_batch.add_argument("--config", required=True)
     p_batch.add_argument("--out", required=True)
-    p_batch.add_argument("--seed", type=int, dest="master_seed")
-    p_batch.add_argument("--jobs", type=int)
     p_batch.set_defaults(func=cmd_batch)
 
     p_check = sub.add_parser("check-theory", help="run the structural self-checks")

@@ -21,17 +21,25 @@ from .synth import DataTable, Ensemble, projective_multiplicities
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric N x N Gram matrix with block sizes (W, V*K)."""
+    """Symmetric N x N Gram matrix with block sizes (W, V*K). ``values`` is
+    stored read-only (copied unless given as an owned read-only float
+    array), so it cannot change under the cached ``spectrum``."""
 
     values: np.ndarray
     n_states: int
 
     def __post_init__(self):
-        shape = np.shape(self.values)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"Gram values must be a square matrix, got shape {shape}")
-        if not 0 <= self.n_states <= shape[0]:
-            raise ValueError(f"n_states={self.n_states} is not in [0, {shape[0]}]")
+        vals = self.values
+        if not isinstance(vals, np.ndarray) or vals.dtype != float:
+            vals = np.array(vals, dtype=float)
+        elif vals.flags.writeable or vals.base is not None:
+            vals = vals.copy()
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise ValueError(f"Gram values must be a square matrix, got shape {vals.shape}")
+        if not 0 <= self.n_states <= self.n:
+            raise ValueError(f"n_states={self.n_states} is not in [0, {self.n}]")
 
     @property
     def n(self) -> int:
@@ -47,9 +55,10 @@ class GramMatrix:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues in descending order and their eigenvectors as
-        columns, from one ``eigh`` of ``values`` made on first use."""
+        """Descending eigenvalues and their eigenvectors as columns, both
+        read-only, from one ``eigh`` of ``values`` made on first use."""
         lam, u = np.linalg.eigh(self.values)
+        lam.flags.writeable = u.flags.writeable = False
         return lam[::-1], u[:, ::-1]
 
 
@@ -117,7 +126,9 @@ def gram(ens: Ensemble) -> GramMatrix:
     """Gram matrix G = P^T P of an ensemble's realization. numpy forms
     P^T P by a symmetric rank-k update, so G is exactly symmetric."""
     p = realize(ens)
-    return GramMatrix(values=p.T @ p, n_states=ens.n_states)
+    g = p.T @ p
+    g.flags.writeable = False
+    return GramMatrix(values=g, n_states=ens.n_states)
 
 
 def r_qm(n_states: int, n_measurements: int, d: int) -> float:

@@ -10,8 +10,6 @@ format: ``from_json`` reads one and ``dump_json`` writes one by its fields.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -265,19 +263,6 @@ def from_json(cls, obj: dict, **nested):
         if name in kwargs:
             kwargs[name] = build(kwargs[name])
     return cls(**kwargs)
-
-
-def table_to_csv(table: DataTable) -> str:
-    """Long-format CSV with header row "w, v, k, f"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["w", "v", "k", "f"])
-    k_ = table.n_outcomes
-    for w in range(table.n_states):
-        for v in range(table.n_measurements):
-            for k in range(k_):
-                writer.writerow([w, v, k, repr(float(table.values[w, v * k_ + k]))])
-    return buf.getvalue()
 
 
 def _encode(obj):

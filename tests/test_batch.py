@@ -134,18 +134,6 @@ class TestRunBatch:
         assert "seconds" not in str(report.to_json())
         assert "mean_seconds" in report.timing_json()["templates"][0]
 
-    def test_summary_csv_shape(self):
-        spec = BatchSpec(
-            templates=[quick_template(), quick_template(n_states=3)],
-            trials_per_template=2,
-        )
-        report, _ = run_batch(spec)
-        lines = report.summary_csv().strip().splitlines()
-        assert lines[0] == "d,successes,failures,start_point,solver"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,2,0,")
-        assert lines[1].endswith("admm")
-
     def test_parallel_matches_serial(self):
         spec_serial = BatchSpec(
             templates=[quick_template()], trials_per_template=4, master_seed=3, jobs=1

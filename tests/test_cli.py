@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,29 +31,25 @@ class TestSynth:
         cfg = write_json(tmp_path / "cfg.json", SYNTH_CFG)
         out = tmp_path / "out"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert (out / "ensemble.json").exists()
-        assert (out / "table.json").exists()
-        csv_text = (out / "table.csv").read_text()
-        assert csv_text.splitlines()[0] == "w,v,k,f"
-        assert len(csv_text.strip().splitlines()) == 1 + 3 * 2 * 2
+        assert sorted(p.name for p in out.iterdir()) == ["ensemble.json", "table.json"]
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", SYNTH_CFG)
-        main(["synth", "--config", cfg, "--out", str(tmp_path / "a")])
-        main(["synth", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "1"])
-        main(["synth", "--config", cfg, "--out", str(tmp_path / "c")])
-        a = (tmp_path / "a" / "table.json").read_bytes()
-        b = (tmp_path / "b" / "table.json").read_bytes()
-        c = (tmp_path / "c" / "table.json").read_bytes()
+    def test_config_seed_sets_the_draw(self, tmp_path):
+        # the same config gives the same bytes; only its seed changes the draw
+        first = write_json(tmp_path / "a.json", SYNTH_CFG)
+        other = write_json(tmp_path / "b.json", {**SYNTH_CFG, "seed": 1})
+        for cfg, name in ((first, "a"), (other, "b"), (first, "c")):
+            assert main(["synth", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        a, b, c = ((tmp_path / name / "table.json").read_bytes() for name in "abc")
         assert a == c
         assert a != b
 
-    def test_shots_flag(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", SYNTH_CFG)
+    def test_config_shots_reach_the_table(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "shots": 10})
         out = tmp_path / "out"
-        assert main(["synth", "--config", cfg, "--out", str(out), "--shots", "10"]) == EXIT_OK
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
         table = json.loads((out / "table.json").read_text())
         assert table["shots"] == 10
+        assert np.array_equal(np.round(np.array(table["values"]) * 10) / 10, table["values"])
 
     def test_k_mismatch_is_config_error(self, tmp_path):
         # K is d, or the length of degeneracies, so n_outcomes is no trial key
@@ -249,14 +246,12 @@ class TestEstimate:
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path", ["trial", "data"])
-    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-6"]], ids=["no_flags", "tol"])
-    def test_solver_not_an_object_is_config_error(self, tmp_path, capsys, path, flags):
-        # a null solver must not crash the flag overrides or fall back to
-        # the defaults, whether or not --tol writes into it
+    def test_solver_not_an_object_is_config_error(self, tmp_path, capsys, path):
+        # a null solver must not fall back to the defaults
         base = EST_CFG if path == "trial" else {"d": 2, "data": str(self._recorded(tmp_path))}
         cfg = write_json(tmp_path / "e.json", {**base, "solver": None})
         out = tmp_path / "o"
-        assert main(["estimate", "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "solver" in capsys.readouterr().err.lower()
         assert not out.exists()
 
@@ -286,10 +281,7 @@ class TestBatch:
         report = json.loads((out / "report.json").read_text())
         assert report["master_seed"] == 5
         assert report["templates"][0]["successes"] == 2
-        assert (out / "timing.json").exists()
-        assert (out / "summary.csv").read_text().splitlines()[0] == (
-            "d,successes,failures,start_point,solver"
-        )
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "timing.json", "trials"]
         trials = sorted((out / "trials").iterdir())
         assert len(trials) == 2
 
@@ -301,20 +293,13 @@ class TestBatch:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
-    def test_seed_flag_sets_master_seed(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", self.BATCH_CFG)
-        out = tmp_path / "out"
-        main(["batch", "--config", cfg, "--out", str(out), "--seed", "11"])
-        report = json.loads((out / "report.json").read_text())
-        assert report["master_seed"] == 11
-
     def test_bad_spec_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"templates": []})
         assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt "jobs" must not run the batch serially and succeed, and
-        # a "seed" key is no batch key: only the --seed flag sets master_seed
+        # a "seed" key is no batch key: master_seed is the batch's one seed
         with pytest.raises(ValueError, match="job"):
             batch_spec_from_json({**self.BATCH_CFG, "job": 4})
         no_master = {"templates": [EST_CFG], "trials_per_template": 1, "seed": 7}
@@ -368,4 +353,49 @@ def test_config_not_utf8_is_config_error(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "batch"])
+@pytest.mark.parametrize("obj", ["data", [1], 3, None], ids=["string", "list", "number", "null"])
+def test_config_not_an_object_is_config_error(tmp_path, capsys, command, obj):
+    # a JSON string "data" must not pass `"data" in cfg` as a substring test
+    cfg = write_json(tmp_path / "cfg.json", obj)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "batch"])
+def test_run_commands_take_only_config_and_out(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("synth", "--seed", "1"),
+        ("synth", "--shots", "10"),
+        ("estimate", "--seed", "1"),
+        ("estimate", "--shots", "10"),
+        ("estimate", "--epsilon", "0.1"),
+        ("estimate", "--tau", "0.1"),
+        ("estimate", "--max-iters", "10"),
+        ("estimate", "--tol", "1e-6"),
+        ("batch", "--seed", "1"),
+        ("batch", "--jobs", "2"),
+    ],
+)
+def test_settings_flags_are_parser_errors(tmp_path, command, flag, value):
+    # the config is a run's only settings; check-theory, which reads no
+    # config, keeps --n, --trials and --seed (TestCheckTheory runs them)
+    cfg = write_json(tmp_path / "cfg.json", SYNTH_CFG)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), flag, value])
+    assert exc.value.code == EXIT_CONFIG
     assert not out.exists()

@@ -1,5 +1,7 @@
 """Tests for the Gram-matrix model, knowledge sets, and rank tools."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,47 @@ class TestGramMatrixValidation:
     def test_accepts_empty_blocks(self, n_states):
         g = GramMatrix(values=np.eye(3), n_states=n_states)
         assert g.n_states + g.n_effects == 3
+
+    def test_values_and_spectrum_are_read_only(self):
+        # a write after the spectrum is cached would leave the certificate
+        # reading the old matrix's tail
+        g = gram(sample_ensemble(2, 5, 5, np.random.default_rng(12)))
+        g.spectrum
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[:] = np.eye(g.n)
+        for arr in g.spectrum:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert rank_tail(g, 4) == rank_tail(GramMatrix(g.values.copy(), g.n_states), 4)
+
+    def test_values_are_copied_unless_owned_and_read_only(self):
+        given = np.eye(3)
+        g = GramMatrix(values=given, n_states=1)
+        given[0, 0] = 5.0
+        assert g.values[0, 0] == 1.0 and given.flags.writeable
+        owned = np.eye(3)
+        owned.flags.writeable = False
+        assert GramMatrix(values=owned, n_states=1).values is owned
+        assert GramMatrix(values=owned[:, :], n_states=1).values.base is None
+        listed = GramMatrix(values=[[1.0, 0.0], [0.0, 1.0]], n_states=1)
+        assert listed.n == 2 and listed.values.dtype == float
+
+    @pytest.mark.parametrize("module", ["gram", "solver"])
+    def test_builders_hand_over_without_a_copy(self, monkeypatch, module):
+        kept = []
+
+        def keep(values, n_states):
+            g = GramMatrix(values=values, n_states=n_states)
+            kept.append(g.values is values)
+            return g
+
+        # by sys.modules: the package's name ``gram`` is the function
+        monkeypatch.setattr(sys.modules[f"gramscope.{module}"], "GramMatrix", keep)
+        if module == "gram":
+            gram(sample_ensemble(2, 3, 3, np.random.default_rng(5)))
+        else:
+            from gramscope.solver import SdpProblem, SolverOptions, solve_trace_min
+
+            kn = Knowledge(n=2, constraints=[(0, 0, 1.0, 1.0)])
+            solve_trace_min(SdpProblem(knowledge=kn, radius=2.0), SolverOptions(max_iters=5))
+        assert kept == [True]

@@ -1,7 +1,5 @@
 """Tests for ensemble sampling and data-table generation."""
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -19,7 +17,6 @@ from gramscope.synth import (
     sample_mixed_state,
     sample_projective_measurement,
     sample_pure_state,
-    table_to_csv,
     validate_ensemble,
 )
 
@@ -328,13 +325,3 @@ class TestDeterminismAndSerialization:
         with pytest.raises(TypeError, match="object"):
             dump_json({"x": object()}, path)
         assert not path.exists()
-
-    def test_table_csv_roundtrip(self):
-        table = born_table(sample_ensemble(2, 3, 2, np.random.default_rng(17)))
-        rows = list(csv.reader(io.StringIO(table_to_csv(table))))
-        assert rows[0] == ["w", "v", "k", "f"]
-        assert len(rows) == 1 + 3 * 2 * 2
-        vals = np.full(table.values.shape, np.nan)
-        for w, v, k, f in rows[1:]:
-            vals[int(w), int(v) * 2 + int(k)] = float(f)
-        assert np.array_equal(vals, table.values)
