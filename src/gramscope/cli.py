@@ -97,6 +97,14 @@ class DataConfig(SolveConfig):
     data: str
 
 
+def _recorded_table(cfg: dict) -> tuple[DataTable, DataConfig]:
+    """The checked ``DataConfig`` of ``cfg`` and the table it names."""
+    c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
+    table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
+    projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
+    return table, c
+
+
 def cmd_estimate(args) -> int:
     """Run one trial, or, when the config names a ``data`` directory, one
     solve and certificate of its recorded table (no ground truth, no
@@ -106,12 +114,7 @@ def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
     truth = metrics = None
     if "data" in cfg:
-        try:
-            c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
-            table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
-            projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad estimate config or table: {exc}") from exc
+        table, c = _checked(_recorded_table, cfg, "estimate config or table")
         est = solve_table(table, c)
     else:
         est, truth = estimate(_checked(trial_config_from_json, cfg, "trial config"))
@@ -187,20 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate an ensemble and its data table")
-    p_synth.add_argument("--config", required=True)
-    p_synth.add_argument("--out", required=True)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_est = sub.add_parser("estimate", help="run one estimation trial or solve saved data")
-    p_est.add_argument("--config", required=True)
-    p_est.add_argument("--out", required=True)
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_batch = sub.add_parser("batch", help="run a batch of trials and summarize")
-    p_batch.add_argument("--config", required=True)
-    p_batch.add_argument("--out", required=True)
-    p_batch.set_defaults(func=cmd_batch)
+    for name, func, help_ in (
+        ("synth", cmd_synth, "generate an ensemble and its data table"),
+        ("estimate", cmd_estimate, "run one estimation trial or solve saved data"),
+        ("batch", cmd_batch, "run a batch of trials and summarize"),
+    ):
+        p_run = sub.add_parser(name, help=help_)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--out", required=True)
+        p_run.set_defaults(func=func)
 
     p_check = sub.add_parser("check-theory", help="run the structural self-checks")
     p_check.add_argument("--n", type=int, default=3, help="matrix size for brute-force checks")

@@ -257,25 +257,25 @@ class Metrics:
     trace_true: float
 
 
-def evaluate(
-    est: GramEstimate,
-    truth: Ensemble,
-    threshold: float = 1e-3,
-) -> Metrics:
+#: A trial succeeds when its largest entry error is below this.
+SUCCESS_TOL = 1e-3
+
+
+def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
     """Entrywise and Frobenius error of the estimate against the true Gram
     matrix, plus rank tail, data-block reproduction error and the true
-    trace. ``success`` is max-entry error below ``threshold``."""
+    trace. ``success`` is max-entry error below ``SUCCESS_TOL``."""
     g_true = gram(truth)
-    if g_true.n != est.g_hat.n:
-        raise ValueError(
-            f"estimate is {est.g_hat.n} x {est.g_hat.n}, ground truth is {g_true.n} x {g_true.n}"
-        )
+    split = (est.g_hat.n_states, est.g_hat.n_effects)
+    true_split = (g_true.n_states, g_true.n_effects)
+    if split != true_split:
+        raise ValueError(f"estimate blocks (W, V*K) are {split}, ground truth's {true_split}")
     diff = est.g_hat.values - g_true.values
     max_err = float(np.max(np.abs(diff)))
     return Metrics(
         max_entry_error=max_err,
         frobenius_error=float(np.linalg.norm(diff)),
-        success=max_err < threshold,
+        success=max_err < SUCCESS_TOL,
         rank_tail=rank_tail(est.g_hat, est.target_rank),
         data_block_error=float(np.max(np.abs(est.g_hat.data_block - g_true.data_block))),
         trace_true=float(np.trace(g_true.values)),

@@ -10,6 +10,7 @@ to intervals [lo, hi] (exact values when lo == hi) before completion.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -18,22 +19,21 @@ import numpy as np
 from .hermitian import vectorize
 from .synth import DataTable, Ensemble, projective_multiplicities
 
+#: Relative singular-value cut of ``numerical_rank``.
+RANK_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric N x N Gram matrix with block sizes (W, V*K). ``values`` is
-    stored read-only (copied unless given as an owned read-only float
-    array), so it cannot change under the cached ``spectrum``."""
+    stored as its own read-only float copy of what it is given, so it
+    cannot change under the cached ``spectrum``."""
 
     values: np.ndarray
     n_states: int
 
     def __post_init__(self):
-        vals = self.values
-        if not isinstance(vals, np.ndarray) or vals.dtype != float:
-            vals = np.array(vals, dtype=float)
-        elif vals.flags.writeable or vals.base is not None:
-            vals = vals.copy()
+        vals = np.array(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
@@ -71,12 +71,11 @@ PIN = np.dtype([("i", np.intp), ("j", np.intp), ("lo", float), ("hi", float)])
 class Knowledge:
     """A-priori knowledge of Gram entries: one array of pins (i, j, lo, hi).
 
-    ``constraints`` accepts any sequence of (i, j, lo, hi) rows and is
-    stored as a read-only array of dtype ``PIN``: a copy, unless it is
-    given one that owns its data and is read-only already, so checked
-    knowledge cannot be changed in place. ``split`` records the
-    state/effect block boundary W when known, which lets interval
-    relaxation target the data block.
+    ``constraints`` accepts any sequence of (i, j, lo, hi) rows with
+    integer i and j, and is stored as its own read-only copy of dtype
+    ``PIN``, so checked knowledge cannot be changed in place. ``split``
+    records the state/effect block boundary W when known, which lets
+    interval relaxation target the data block.
     """
 
     n: int
@@ -88,9 +87,14 @@ class Knowledge:
             raise ValueError(f"split={self.split} is not in [0, n={self.n}]")
         pins = self.constraints
         if not (isinstance(pins, np.ndarray) and pins.dtype == PIN):
-            pins = np.array([tuple(p) for p in pins], dtype=PIN)
-        elif pins.flags.writeable or pins.base is not None:
-            pins = pins.copy()
+            pins = [tuple(p) for p in pins]
+            for row in pins:  # an integral float is an index, a bool is not
+                if not all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool) and float(x).is_integer()
+                    for x in row[:2]
+                ):
+                    raise ValueError(f"pin row {row} needs integer i and j")
+        pins = np.array(pins, dtype=PIN)
         pins.flags.writeable = False
         object.__setattr__(self, "constraints", pins)
         i, j, lo, hi = pins["i"], pins["j"], pins["lo"], pins["hi"]
@@ -126,9 +130,7 @@ def gram(ens: Ensemble) -> GramMatrix:
     """Gram matrix G = P^T P of an ensemble's realization. numpy forms
     P^T P by a symmetric rank-k update, so G is exactly symmetric."""
     p = realize(ens)
-    g = p.T @ p
-    g.flags.writeable = False
-    return GramMatrix(values=g, n_states=ens.n_states)
+    return GramMatrix(values=p.T @ p, n_states=ens.n_states)
 
 
 def r_qm(n_states: int, n_measurements: int, d: int) -> float:
@@ -183,15 +185,13 @@ def knowledge_relax(kn: Knowledge, eps: float) -> Knowledge:
     return replace(kn, constraints=pins)
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-6) -> int:
-    """Number of singular values above rel_tol times the largest (0 for the
-    zero matrix)."""
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+def numerical_rank(m: np.ndarray) -> int:
+    """Number of singular values above ``RANK_REL_TOL`` times the largest
+    (0 for the zero matrix)."""
     s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 def rank_tail(g: GramMatrix, rank: int) -> float:

@@ -314,6 +314,5 @@ def solve_trace_min(
         partial_steps=warm.partial_steps,
         failed_partial_steps=warm.failed_partial_steps,
     )
-    z_mat.flags.writeable = False  # handed over, so GramMatrix keeps it without a copy
     g_hat = GramMatrix(values=z_mat, n_states=kn.split if kn.split is not None else n)
     return g_hat, report

@@ -416,14 +416,16 @@ class TestEvaluate:
         assert m.success
 
     def test_size_mismatch_rejected(self):
-        ens = sample_ensemble(2, 3, 3, np.random.default_rng(1))
-        g = gram(ens)
-        small = sample_ensemble(2, 2, 2, np.random.default_rng(2))
-        est = GramEstimate(
-            g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
-        )
-        with pytest.raises(ValueError):
-            evaluate(est, small)
+        # (3,3) against (2,2) differs in n; (5,5) against (3,6) has n = 15 on
+        # both sides and differs only in the state/effect split
+        for est_wv, truth_wv in [((3, 3), (2, 2)), ((5, 5), (3, 6))]:
+            g = gram(sample_ensemble(2, *est_wv, np.random.default_rng(1)))
+            truth = sample_ensemble(2, *truth_wv, np.random.default_rng(2))
+            est = GramEstimate(
+                g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
+            )
+            with pytest.raises(ValueError, match=r"blocks \(W, V\*K\) are"):
+                evaluate(est, truth)
 
 
 class TestFactorAndGauge:
