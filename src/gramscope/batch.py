@@ -15,39 +15,31 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .estimator import TrialConfig, estimate, evaluate, trial_config_from_json
-from .synth import check_types, from_json
+from .estimator import TrialConfig, estimate, evaluate
+from .synth import check_types
 
 
 @dataclass(frozen=True)
 class BatchSpec:
     """A list of trial templates, each repeated ``trials_per_template`` times."""
 
-    templates: list
+    templates: list[TrialConfig]
     trials_per_template: int
     master_seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
         check_types(self)
-        if self.trials_per_template < 1:
-            raise ValueError("trials_per_template must be >= 1")
+        for name in ("trials_per_template", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if not self.templates:
             raise ValueError("batch needs at least one template")
         for ti, template in enumerate(self.templates):
             if not isinstance(template, TrialConfig):
                 raise ValueError(f"template {ti} must be a TrialConfig, got {template!r}")
-
-
-def batch_spec_from_json(obj: dict) -> BatchSpec:
-    """Build a batch spec from a JSON dict; unknown keys are rejected."""
-    return from_json(
-        BatchSpec, obj, templates=lambda ts: [trial_config_from_json(t) for t in ts]
-    )
 
 
 def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:
@@ -94,7 +86,8 @@ class BatchReport:
 
 
 def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
-    """Run all trials (optionally in parallel) and aggregate.
+    """Run all trials, in ``min(jobs, trials)`` worker processes when that
+    is more than one (a pool starts all its workers at once), and aggregate.
 
     Returns the report and the flat list of per-trial records ordered by
     (template, trial) index. ``progress(done, total)`` is called as each
@@ -105,15 +98,15 @@ def run_batch(spec: BatchSpec, progress=None) -> tuple[BatchReport, list]:
         for tr in range(spec.trials_per_template):
             jobs_list.append(replace(template, seed=trial_seed(spec.master_seed, ti, tr)))
     records = []
-    if spec.jobs > 1:
+    if (workers := min(spec.jobs, len(jobs_list))) > 1:
         # imported here, so a serial run (and every CLI call) skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(spec.jobs)
+        pool = ProcessPoolExecutor(workers)
     else:
         pool = nullcontext()
     with pool:
-        results = pool.map(run_trial, jobs_list) if spec.jobs > 1 else map(run_trial, jobs_list)
+        results = pool.map(run_trial, jobs_list) if workers > 1 else map(run_trial, jobs_list)
         for idx, record in enumerate(results):
             records.append(record)
             if progress is not None:

@@ -20,18 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .batch import batch_spec_from_json, run_batch
-from .estimator import (
-    SolveConfig,
-    draw_trial,
-    estimate,
-    evaluate,
-    solve_table,
-    trial_config_from_json,
-)
-from .solver import SolverOptions
+from .batch import BatchSpec, run_batch
+from .estimator import SolveConfig, TrialConfig, draw_trial, estimate, evaluate, solve_table
 from .synth import DataTable, dump_json, from_json, projective_multiplicities
-from .theory import MAX_BRUTEFORCE_N, run_all_checks
+from .theory import check_settings, run_all_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,16 +59,16 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _checked(build, obj: dict, what: str):
-    """``build(obj)``, with a value it rejects raised as a ConfigError."""
+def _checked(what: str, build, *args):
+    """``build(*args)``, with a value it rejects raised as a ConfigError."""
     try:
-        return build(obj)
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
-    c = _checked(trial_config_from_json, _load_json(args.config), "trial config")
+    c = _checked("trial config", from_json, TrialConfig, _load_json(args.config))
     ens, table = draw_trial(c, np.random.default_rng(c.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,7 +91,7 @@ class DataConfig(SolveConfig):
 
 def _recorded_table(cfg: dict) -> tuple[DataTable, DataConfig]:
     """The checked ``DataConfig`` of ``cfg`` and the table it names."""
-    c = from_json(DataConfig, cfg, solver=lambda s: from_json(SolverOptions, s))
+    c = from_json(DataConfig, cfg)
     table = from_json(DataTable, _load_json(str(Path(c.data) / "table.json")))
     projective_multiplicities(c.d, table.n_outcomes, c.degeneracies)
     return table, c
@@ -114,10 +106,10 @@ def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
     truth = metrics = None
     if "data" in cfg:
-        table, c = _checked(_recorded_table, cfg, "estimate config or table")
+        table, c = _checked("estimate config or table", _recorded_table, cfg)
         est = solve_table(table, c)
     else:
-        est, truth = estimate(_checked(trial_config_from_json, cfg, "trial config"))
+        est, truth = estimate(_checked("trial config", from_json, TrialConfig, cfg))
         metrics = evaluate(est, truth)
     result = {
         "certified": est.certified,
@@ -145,7 +137,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    spec = _checked(batch_spec_from_json, _load_json(args.config), "batch spec")
+    spec = _checked("batch spec", from_json, BatchSpec, _load_json(args.config))
     out = Path(args.out)
     (out / "trials").mkdir(parents=True, exist_ok=True)
     report, records = run_batch(spec)
@@ -168,10 +160,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_check_theory(args) -> int:
-    if not 1 <= args.n <= MAX_BRUTEFORCE_N:
-        raise ConfigError(f"brute-force checks need 1 <= n <= {MAX_BRUTEFORCE_N}, got {args.n}")
-    if args.trials < 1 or args.seed < 0:
-        raise ConfigError(f"need trials >= 1 and seed >= 0, got {args.trials}, {args.seed}")
+    _checked("check-theory settings", check_settings, args.n, args.trials, args.seed)
     results = run_all_checks(args.n, args.trials, args.seed)
     for name, res in results.items():
         if name == "ok":

@@ -126,8 +126,8 @@ class GramEstimate:
 
 
 def trial_config_from_json(obj: dict) -> TrialConfig:
-    """Build a TrialConfig from a JSON dict; nested "solver" options allowed."""
-    return from_json(TrialConfig, obj, solver=lambda s: from_json(SolverOptions, s))
+    """``from_json(TrialConfig, obj)``, kept only because ``perfbench`` imports it."""
+    return from_json(TrialConfig, obj)
 
 
 def born_table(

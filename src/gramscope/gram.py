@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermitian import vectorize
-from .synth import DataTable, Ensemble, projective_multiplicities
+from .synth import DataTable, Ensemble, check_types, projective_multiplicities
 
 #: Relative singular-value cut of ``numerical_rank``.
 RANK_REL_TOL = 1e-6
@@ -33,6 +33,7 @@ class GramMatrix:
     n_states: int
 
     def __post_init__(self):
+        check_types(self)
         vals = np.array(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -83,6 +84,7 @@ class Knowledge:
     split: int | None = None
 
     def __post_init__(self):
+        check_types(self)
         if self.split is not None and not 0 <= self.split <= self.n:
             raise ValueError(f"split={self.split} is not in [0, n={self.n}]")
         pins = self.constraints

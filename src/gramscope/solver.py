@@ -63,6 +63,7 @@ class SdpProblem:
     radius: float
 
     def __post_init__(self):
+        check_types(self)
         if not self.radius > 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
 

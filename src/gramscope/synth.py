@@ -4,8 +4,8 @@ States are drawn uniformly (Haar) from the pure states; measurements are
 obtained by Haar-rotating a computational-basis projective measurement.
 Data tables hold outcome probabilities (asymptotic) or outcome
 frequencies (finite shot count); ``estimator.born_table`` builds them, and
-a table checks itself when it is built. A record's dataclass is its JSON
-format: ``from_json`` reads one and ``dump_json`` writes one by its fields.
+a table checks itself when it is built. A record's annotations are its JSON
+format: ``from_json`` reads one, nested records too; ``dump_json`` writes one.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -249,19 +250,26 @@ def check_types(obj) -> None:
             raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
-def from_json(cls, obj: dict, **nested):
-    """Build the dataclass ``cls`` from a JSON dict. A key that is not a
-    field of ``cls`` raises ValueError naming it; ``nested`` maps a field
-    name to the function that builds its value from its JSON."""
+def from_json(cls, obj: dict):
+    """Build the dataclass ``cls`` from a JSON dict; its annotations are the
+    schema. A key that is not a field raises ValueError naming it. A field
+    annotated with a dataclass, or a list of one, is built by this same
+    function; such a list field given a non-list raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
     extra = set(obj) - {f.name for f in fields(cls)}
     if extra:
         raise ValueError(f"unknown {cls.__name__} key(s): {sorted(extra)}")
+    hints = typing.get_type_hints(cls)
     kwargs = dict(obj)
-    for name, build in nested.items():
-        if name in kwargs:
-            kwargs[name] = build(kwargs[name])
+    for name, value in obj.items():
+        kind = hints[name]
+        if is_dataclass(kind):
+            kwargs[name] = from_json(kind, value)
+        elif typing.get_origin(kind) is list and is_dataclass(item := typing.get_args(kind)[0]):
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            kwargs[name] = [from_json(item, v) for v in value]
     return cls(**kwargs)
 
 

@@ -227,11 +227,18 @@ def check_rigidity_frontier(rng: np.random.Generator) -> dict:
 MAX_BRUTEFORCE_N = 6
 
 
+def check_settings(n: int, trials: int, seed: int) -> None:
+    """Raise ValueError unless ``run_all_checks`` accepts the settings."""
+    if not (1 <= n <= MAX_BRUTEFORCE_N and trials >= 1 and seed >= 0):
+        raise ValueError(
+            f"need 1 <= n <= {MAX_BRUTEFORCE_N}, trials >= 1, seed >= 0; got {n}, {trials}, {seed}"
+        )
+
+
 def run_all_checks(n: int, trials: int, seed: int) -> dict:
     """Run every theory check with a shared seeded source; n bounds the
-    brute-force matrix size."""
-    if n > MAX_BRUTEFORCE_N:
-        raise ValueError(f"brute-force checks are limited to n <= {MAX_BRUTEFORCE_N}, got {n}")
+    brute-force matrix size. The settings are checked before any check runs."""
+    check_settings(n, trials, seed)
     rng = np.random.default_rng(seed)
     results = {
         "norm_bound": check_norm_bound(trials, rng),

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from gramscope.batch import (
-    BatchSpec,
-    batch_spec_from_json,
-    run_batch,
-    run_trial,
-    trial_seed,
-)
+from gramscope.batch import BatchSpec, run_batch, run_trial, trial_seed
 from gramscope.estimator import TrialConfig
 from gramscope.solver import SolverOptions, solve_trace_min
+from gramscope.synth import from_json
 
 
 def quick_template(**kw):
@@ -40,12 +35,13 @@ class TestTrialSeed:
 
 class TestBatchSpec:
     def test_from_json(self):
-        spec = batch_spec_from_json(
+        spec = from_json(
+            BatchSpec,
             {
                 "templates": [{"d": 1, "n_states": 2, "n_measurements": 2}],
                 "trials_per_template": 3,
                 "master_seed": 9,
-            }
+            },
         )
         assert spec.trials_per_template == 3
         assert spec.master_seed == 9
@@ -58,8 +54,7 @@ class TestBatchSpec:
             BatchSpec(templates=[quick_template()], trials_per_template=0)
 
     def test_rejects_template_that_is_not_a_trial_config(self):
-        # a JSON dict belongs in batch_spec_from_json; accepted here, it
-        # would fail inside run_batch
+        # a JSON dict belongs in from_json; accepted here, it would fail inside run_batch
         raw = {"d": 2, "n_states": 3, "n_measurements": 3}
         with pytest.raises(ValueError, match="template 1 must be a TrialConfig"):
             BatchSpec([quick_template(), raw], 1)
@@ -133,6 +128,36 @@ class TestRunBatch:
         report, _ = run_batch(spec)
         assert "seconds" not in str(report.to_json())
         assert "mean_seconds" in report.timing_json()["templates"][0]
+
+    @pytest.mark.parametrize(
+        "jobs, trials, pools", [(64, 2, [2]), (4, 1, []), (2, 4, [2]), (3, 2, [2])]
+    )
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch, jobs, trials, pools):
+        # a process pool forks all its workers at its first task, so a
+        # pool larger than the batch forks idle processes; the fake pool
+        # records its size and runs the trials in this process
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        spec = BatchSpec([quick_template()], trials_per_template=trials, jobs=jobs)
+        _, records = run_batch(spec)
+        assert len(records) == trials
+        assert started == pools
 
     def test_parallel_matches_serial(self):
         spec_serial = BatchSpec(

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from gramscope.batch import batch_spec_from_json
+from gramscope.batch import BatchSpec
 from gramscope.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from gramscope.estimator import estimate, trial_config_from_json
+from gramscope.estimator import TrialConfig, estimate
+from gramscope.synth import from_json
 
 
 def write_json(path, obj):
@@ -130,7 +131,7 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         table = json.loads((out / "table.json").read_text())
         assert table["shots"] == 100
-        est, _ = estimate(trial_config_from_json(shots_cfg))
+        est, _ = estimate(from_json(TrialConfig, shots_cfg))
         assert np.array_equal(np.array(table["values"]), est.table.values)
         assert np.array_equal(np.round(est.table.values * 100) / 100, est.table.values)
 
@@ -301,7 +302,7 @@ class TestBatch:
         # a misspelt "jobs" must not run the batch serially and succeed, and
         # a "seed" key is no batch key: master_seed is the batch's one seed
         with pytest.raises(ValueError, match="job"):
-            batch_spec_from_json({**self.BATCH_CFG, "job": 4})
+            from_json(BatchSpec, {**self.BATCH_CFG, "job": 4})
         no_master = {"templates": [EST_CFG], "trials_per_template": 1, "seed": 7}
         for obj, key in (
             ({**self.BATCH_CFG, "job": 4}, "job"),
@@ -344,6 +345,16 @@ class TestCheckTheory:
         # --trials 0 would print "pass" without checking anything
         assert main(["check-theory", "--n", "3", *flags]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+
+    def test_error_inside_a_check_is_no_config_error(self, monkeypatch):
+        # only the settings are config errors; a check that raises is a
+        # program error, which leaves main as a traceback (exit 1)
+        def broken(*args, **kwargs):
+            raise ValueError("broken check")
+
+        monkeypatch.setattr("gramscope.theory.check_norm_bound", broken)
+        with pytest.raises(ValueError, match="broken check"):
+            main(["check-theory", "--n", "3", "--trials", "5"])
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "batch"])

@@ -15,11 +15,10 @@ from gramscope.estimator import (
     factor,
     gauge_distance,
     solve_table,
-    trial_config_from_json,
 )
 from gramscope.gram import GramMatrix, gram, realize
 from gramscope.solver import SolverOptions, SolverReport, solve_trace_min
-from gramscope.synth import sample_ensemble
+from gramscope.synth import from_json, sample_ensemble
 
 
 class TestTrialConfig:
@@ -30,15 +29,15 @@ class TestTrialConfig:
         assert cfg.shots is None
 
     def test_from_json_with_solver(self):
-        cfg = trial_config_from_json(
-            {"d": 2, "n_states": 3, "n_measurements": 4, "solver": {"max_iters": 50}}
+        cfg = from_json(
+            TrialConfig, {"d": 2, "n_states": 3, "n_measurements": 4, "solver": {"max_iters": 50}}
         )
         assert cfg.solver.max_iters == 50
         assert cfg.n_measurements == 4
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
-            trial_config_from_json({"d": 2, "n_states": 3, "n_measurements": 4, "nstates": 1})
+            from_json(TrialConfig, {"d": 2, "n_states": 3, "n_measurements": 4, "nstates": 1})
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -68,7 +67,7 @@ class TestEstimateTrivial:
     def test_rejects_k_neq_d(self):
         # K is d, or the length of degeneracies, so n_outcomes is no trial key
         with pytest.raises(ValueError, match="n_outcomes"):
-            trial_config_from_json({"d": 2, "n_states": 2, "n_measurements": 2, "n_outcomes": 3})
+            from_json(TrialConfig, {"d": 2, "n_states": 2, "n_measurements": 2, "n_outcomes": 3})
 
 
 class TestEstimateEndToEnd:

@@ -7,8 +7,7 @@ import shlex
 from pathlib import Path
 
 from gramscope.cli import DataConfig, build_parser
-from gramscope.estimator import trial_config_from_json
-from gramscope.solver import SolverOptions
+from gramscope.estimator import TrialConfig
 from gramscope.synth import from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,10 +47,10 @@ def configs(recorded):
 def test_trial_config_loads():
     assert configs(recorded=False)
     for obj in configs(recorded=False):
-        trial_config_from_json(obj)
+        from_json(TrialConfig, obj)
 
 
 def test_data_config_loads():
     assert configs(recorded=True)
     for obj in configs(recorded=True):
-        from_json(DataConfig, obj, solver=lambda s: from_json(SolverOptions, s))
+        from_json(DataConfig, obj)

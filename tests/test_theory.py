@@ -77,6 +77,19 @@ class TestChecks:
         with pytest.raises(ValueError):
             run_all_checks(7, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, trials, seed", [(3, 0, 0), (3, -1, 0), (0, 10, 0), (-2, 10, 0), (3, 10, -1)]
+    )
+    def test_run_all_rejects_settings_before_any_check(self, monkeypatch, n, trials, seed):
+        # zero trials would report ok having checked nothing, n = 0 would
+        # pass on empty matrices, and a negative n fails inside numpy
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran on rejected settings")
+
+        monkeypatch.setattr("gramscope.theory.check_norm_bound", never)
+        with pytest.raises(ValueError, match="^need 1 <= n <= 6, trials >= 1, seed >= 0"):
+            run_all_checks(n, trials, seed)
+
 
 class TestRigidity:
     @pytest.mark.parametrize("w", [3, 5])
