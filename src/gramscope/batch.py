@@ -37,9 +37,6 @@ class BatchSpec:
             raise ValueError("master_seed must be >= 0")
         if not self.templates:
             raise ValueError("batch needs at least one template")
-        for ti, template in enumerate(self.templates):
-            if not isinstance(template, TrialConfig):
-                raise ValueError(f"template {ti} must be a TrialConfig, got {template!r}")
 
 
 def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:

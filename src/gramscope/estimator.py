@@ -66,8 +66,6 @@ class SolveConfig:
         check_types(self)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if not isinstance(self.solver, SolverOptions):
-            raise ValueError(f"solver must be SolverOptions, got {self.solver!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.epsilon < 0:
@@ -82,10 +80,10 @@ class TrialConfig(SolveConfig):
 
     Every measurement, the added ones too, shares the degeneracy pattern.
     ``shots`` None means asymptotic (exact Born probabilities); a finite
-    value draws the outcome frequencies of that many shots. ``epsilon``
-    applies with or without shots. Every state, the added ones too, is
-    mixed when ``mixed_states`` is set. ``gramscope synth`` writes the
-    ensemble and table a trial starts from.
+    value draws the outcome frequencies of that many shots, at most 2**63 - 1
+    (numpy's multinomial takes a C long). ``epsilon`` applies with or without
+    shots. Every state, the added ones too, is mixed when ``mixed_states`` is
+    set. ``gramscope synth`` writes the ensemble and table a trial starts from.
     """
 
     n_states: int
@@ -102,8 +100,8 @@ class TrialConfig(SolveConfig):
             raise ValueError("n_states and n_measurements must be >= 1")
         if self.max_augmentations < 0 or self.seed < 0:
             raise ValueError("max_augmentations and seed must be >= 0")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 when finite")
+        if self.shots is not None and not 1 <= self.shots < 2**63:
+            raise ValueError(f"shots must be in [1, 2**63 - 1] when finite, got {self.shots}")
 
 
 @dataclass

@@ -1,15 +1,16 @@
-"""Synthetic experiments, data tables, and the JSON format of every record.
+"""Synthetic experiments, data tables, and the schema of every record.
 
 States are drawn uniformly (Haar) from the pure states; measurements are
 obtained by Haar-rotating a computational-basis projective measurement.
-Data tables hold outcome probabilities (asymptotic) or outcome
-frequencies (finite shot count); ``estimator.born_table`` builds them, and
-a table checks itself when it is built. A record's annotations are its JSON
-format: ``from_json`` reads one, nested records too; ``dump_json`` writes one.
+Data tables hold outcome probabilities (asymptotic) or frequencies (finite
+shot count); ``estimator.born_table`` builds them. A record's annotations
+are its schema: ``check_types`` is the one rule of what a field may hold,
+``from_json`` reads a record, nested ones too, and ``dump_json`` writes one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -227,50 +228,64 @@ def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return np.trace(rho @ effects, axis1=-2, axis2=-1).real
 
 
+#: The resolved annotations of a dataclass, read once per class.
+field_types = functools.cache(typing.get_type_hints)
+
+
 def check_types(obj) -> None:
-    """Raise ValueError naming the first field of the dataclass ``obj``
-    whose value does not match its annotation: ``int`` fields hold
-    integers (not bools), ``float`` fields finite real numbers (not bools)
-    and ``bool`` fields bools; ``X | None`` also admits None. Other
-    annotations are not checked."""
-    for f in fields(obj):
-        kind, _, rest = f.type.partition(" | ")
-        value = getattr(obj, f.name)
-        if value is None and rest == "None":
-            continue
-        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind == "float" and (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
-        if kind == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+    """The one type rule: raise ValueError naming the first field of the
+    dataclass ``obj`` not meeting its annotation. ``int`` takes an integer,
+    ``float`` a finite real (neither a bool), ``bool`` a bool, ``str`` a
+    string, a record an instance of it, ``list[X]`` a list of X (a bad item
+    named by index: ``templates[1]``), ``X | None`` None too; others anything."""
+    for name, kind in field_types(type(obj)).items():
+        _check(kind, getattr(obj, name), name)
+
+
+def _check(kind, value, place: str) -> None:
+    if kind is int:
+        if type(value) is bool or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{place} must be an integer, got {value!r}")
+    elif kind is float:
+        if type(value) is bool or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{place} must be a finite real number, got {value!r}")
+    elif kind in (bool, str) or is_dataclass(kind):
+        if not isinstance(value, kind):
+            what = {bool: "true or false", str: "a string"}.get(kind, f"a {kind.__name__}")
+            raise ValueError(f"{place} must be {what}, got {value!r}")
+    elif type(None) in typing.get_args(kind) and value is not None:  # X | None
+        _check(typing.get_args(kind)[0], value, place)
+    elif typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{place} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(typing.get_args(kind)[0], item, f"{place}[{i}]")
 
 
 def from_json(cls, obj: dict):
-    """Build the dataclass ``cls`` from a JSON dict; its annotations are the
-    schema. A key that is not a field raises ValueError naming it. A field
-    annotated with a dataclass, or a list of one, is built by this same
-    function; such a list field given a non-list raises ValueError naming it."""
+    """Build the dataclass ``cls`` from a JSON dict; its ``field_types`` are
+    the schema, and a key that is not a field raises ValueError naming it. A
+    JSON object given for a record, alone or in a list, is built by this same
+    function; an error in it names its place (``templates[0].solver: ...``).
+    Any other value goes to ``cls`` as it is, for ``check_types`` to judge."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
-    extra = set(obj) - {f.name for f in fields(cls)}
-    if extra:
+    if extra := obj.keys() - field_types(cls):
         raise ValueError(f"unknown {cls.__name__} key(s): {sorted(extra)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = dict(obj)
-    for name, value in obj.items():
-        kind = hints[name]
-        if is_dataclass(kind):
-            kwargs[name] = from_json(kind, value)
-        elif typing.get_origin(kind) is list and is_dataclass(item := typing.get_args(kind)[0]):
-            if not isinstance(value, list):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-            kwargs[name] = [from_json(item, v) for v in value]
-    return cls(**kwargs)
+    return cls(**{name: _nested(field_types(cls)[name], v, name) for name, v in obj.items()})
+
+
+class _Placed(ValueError):
+    """An error in a nested record, prefixed by its place."""
+
+
+def _nested(kind, value, place: str):
+    if typing.get_origin(kind) is list and isinstance(value, list):
+        return [_nested(typing.get_args(kind)[0], v, f"{place}[{i}]") for i, v in enumerate(value)]
+    try:
+        return from_json(kind, value) if is_dataclass(kind) and isinstance(value, dict) else value
+    except ValueError as exc:
+        raise _Placed(f"{place}{'.' if isinstance(exc, _Placed) else ': '}{exc}") from exc
 
 
 def _encode(obj):

@@ -56,7 +56,7 @@ class TestBatchSpec:
     def test_rejects_template_that_is_not_a_trial_config(self):
         # a JSON dict belongs in from_json; accepted here, it would fail inside run_batch
         raw = {"d": 2, "n_states": 3, "n_measurements": 3}
-        with pytest.raises(ValueError, match="template 1 must be a TrialConfig"):
+        with pytest.raises(ValueError, match=r"^templates\[1\] must be a TrialConfig"):
             BatchSpec([quick_template(), raw], 1)
 
 

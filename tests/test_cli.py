@@ -72,8 +72,8 @@ class TestSynth:
             ({**SYNTH_CFG, "mixed_states": "no"}, "mixed_states"),
             ({**SYNTH_CFG, "seed": True}, "seed"),
             ({**SYNTH_CFG, "shots": 10.5}, "shots"),
-            ({**SYNTH_CFG, "degeneracies": [True, True]}, "degeneracy"),
-            ({**SYNTH_CFG, "degeneracies": {"a": 1}}, "degeneracy"),
+            ({**SYNTH_CFG, "degeneracies": [True, True]}, "degeneracies"),
+            ({**SYNTH_CFG, "degeneracies": {"a": 1}}, "degeneracies"),
         ):
             cfg = write_json(tmp_path / "cfg.json", obj)
             assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -213,8 +213,8 @@ class TestEstimate:
             ({"d": 2.5, "data": data}, "d"),
             ({"d": 2, "data": data, "tau": True}, "tau"),
             ({"d": 2, "data": data, "epsilon": "0.1"}, "epsilon"),
-            ({"d": 2, "data": data, "degeneracies": {"a": 1}}, "degeneracy"),
-            ({"d": 2, "data": data, "degeneracies": [[1, 1], [1, 1]]}, "degeneracy"),
+            ({"d": 2, "data": data, "degeneracies": {"a": 1}}, "degeneracies"),
+            ({"d": 2, "data": data, "degeneracies": [[1, 1], [1, 1]]}, "degeneracies"),
         ):
             cfg = write_json(tmp_path / "e.json", obj)
             assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -314,6 +314,18 @@ class TestBatch:
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    def test_error_in_a_template_names_its_place(self, tmp_path, capsys):
+        template = {**EST_CFG, "solver": {"max_iters": True}}
+        misspelt = {**EST_CFG, "nstates": 2}
+        for obj, place in (
+            ({**self.BATCH_CFG, "templates": [EST_CFG, misspelt]}, "templates[1]: unknown"),
+            ({**self.BATCH_CFG, "templates": [template]}, "templates[0].solver: max_iters"),
+        ):
+            cfg = write_json(tmp_path / "cfg.json", obj)
+            assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert place in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     def test_mistyped_value_is_config_error(self, tmp_path, capsys):
         # a float trial count must not be truncated, a flag must not be
         # taken as one job, and a float seed must not be truncated
@@ -365,6 +377,21 @@ def test_config_not_utf8_is_config_error(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert str(cfg) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate"])
+def test_shots_beyond_a_c_long_are_config_error(tmp_path, capsys, command):
+    # numpy's multinomial takes the shot count as a C long: a larger count
+    # is the config's error, not an OverflowError inside the draw
+    out = tmp_path / "o"
+    for shots in (10**29, 2**63):
+        cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "shots": shots})
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "shots must be in [1, 2**63 - 1]" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "shots": 2**63 - 1})
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "table.json").read_text())["shots"] == 2**63 - 1
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "batch"])

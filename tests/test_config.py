@@ -1,17 +1,26 @@
 """Every config's and record's dataclass annotations are its schema, and
 one loader, ``from_json(cls, obj)``, reads every one of them: a field
 annotated with a dataclass, or a list of one, is built from its nested
-JSON by that same loader. Each int, float and bool field rejects a
-wrong-typed value by name, and the loader rejects a key that is not a
-field by name. Every record that checks itself applies the type rule. The
-settings of a solve are declared and checked once, by ``SolveConfig``, for
-every config that extends it."""
+JSON by that same loader, and an error inside names its place. One type
+rule, ``check_types``, decides what each field may hold, and every field
+of a kind it checks rejects a wrong-typed value by name; the loader
+rejects a key that is not a field by name. Every record that checks itself
+applies the type rule. The settings of a solve are declared and checked
+once, by ``SolveConfig``, for every config that extends it.
+
+This module has no ``from __future__ import annotations``, so the records
+it declares carry evaluated annotations, not strings."""
 
 import ast
+import importlib
+import inspect
 import json
-from dataclasses import fields
+import re
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gramscope.batch import BatchSpec
@@ -19,7 +28,7 @@ from gramscope.cli import EXIT_CONFIG, DataConfig, main
 from gramscope.estimator import SolveConfig, TrialConfig
 from gramscope.gram import GramMatrix, Knowledge
 from gramscope.solver import SdpProblem, SolverOptions
-from gramscope.synth import DataTable, dump_json, from_json
+from gramscope.synth import DataTable, check_types, dump_json, field_types, from_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gramscope"
 
@@ -40,23 +49,42 @@ LOADERS = {
     SdpProblem: {"knowledge": {"n": 2}, "radius": 1.0},
 }
 
-#: Wrong-typed values for each checked annotation, alone or with "| None".
-WRONG = {"int": [True, 2.5], "float": ["1", float("nan"), True], "bool": [1]}
+#: Wrong-typed values for each scalar annotation the rule checks.
+WRONG = {int: [True, 2.5], float: ["1", float("nan"), True], bool: [1], str: [5]}
+#: Annotations the rule leaves unchecked.
+UNCHECKED = (np.ndarray, list)
+
+
+def wrong_values(kind):
+    """Values the type rule rejects for the annotation ``kind``: a number or
+    a plain dict for a record, a number for a list, or a list holding a value
+    its item annotation rejects; ``X | None`` has X's."""
+    if type(None) in typing.get_args(kind):
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is list:
+        return [3] + [[value] for value in wrong_values(typing.get_args(kind)[0])]
+    return [5, {"n": 2}] if is_dataclass(kind) else WRONG.get(kind, [])
+
 
 FIELD_CASES = [
-    pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
     for cls in LOADERS
-    for f in fields(cls)
-    for value in WRONG.get(f.type.partition(" | ")[0], [])
-]
+    for name, kind in field_types(cls).items()
+    for value in wrong_values(kind)
+] + [pytest.param(TrialConfig, "degeneracies", [True, 1], id="TrialConfig.degeneracies=[True, 1]")]
 
 
 @pytest.mark.parametrize("cls, name, value", FIELD_CASES)
 def test_wrong_type_is_rejected_by_name(cls, name, value):
     valid = LOADERS[cls]
-    from_json(cls, valid)
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        from_json(cls, {**valid, name: value})
+    record = from_json(cls, valid)
+    message = rf"^{name}(\[\d+\])? must be"
+    with pytest.raises(ValueError, match=message):
+        replace(record, **{name: value})
+    items = value if isinstance(value, list) else [value]
+    if not any(isinstance(item, dict) for item in items):  # from_json builds a JSON object
+        with pytest.raises(ValueError, match=message):
+            from_json(cls, {**valid, name: value})
 
 
 @pytest.mark.parametrize("cls", list(LOADERS), ids=lambda cls: cls.__name__)
@@ -67,6 +95,134 @@ def test_unknown_key_is_rejected_by_name(cls):
 
 def test_every_config_has_checked_fields():
     assert {case.values[0] for case in FIELD_CASES} == set(LOADERS)
+
+
+@pytest.mark.parametrize(
+    "cls, obj, message",
+    [
+        (
+            BatchSpec,
+            {"templates": [TRIAL, {**TRIAL, "nstates": 3}], "trials_per_template": 1},
+            "templates[1]: unknown TrialConfig key(s): ['nstates']",
+        ),
+        (
+            BatchSpec,
+            {"templates": [{**TRIAL, "solver": {"max_iters": True}}], "trials_per_template": 1},
+            "templates[0].solver: max_iters must be an integer, got True",
+        ),
+        (
+            BatchSpec,
+            {"templates": [{**TRIAL, "solver": {"max_iters": 0}}], "trials_per_template": 1},
+            "templates[0].solver: max_iters must be >= 1",
+        ),
+        (
+            BatchSpec,
+            {"templates": [{**TRIAL, "solver": 5}], "trials_per_template": 1},
+            "templates[0]: solver must be a SolverOptions, got 5",
+        ),
+        (
+            BatchSpec,
+            {"templates": [TRIAL, {**TRIAL, "d": 0}], "trials_per_template": 1},
+            "templates[1]: d must be >= 1, got 0",
+        ),
+        (
+            BatchSpec,
+            {"templates": [TRIAL, 5], "trials_per_template": 1},
+            "templates[1] must be a TrialConfig, got 5",
+        ),
+        (
+            SolveConfig,
+            {"d": 2, "solver": {"max_iters": True}},
+            "solver: max_iters must be an integer, got True",
+        ),
+        (
+            TrialConfig,
+            {**TRIAL, "solver": {"max_iterz": 10}},
+            "solver: unknown SolverOptions key(s): ['max_iterz']",
+        ),
+        (
+            SdpProblem,
+            {"knowledge": {"n": 0.5}, "radius": 1.0},
+            "knowledge: n must be an integer, got 0.5",
+        ),
+    ],
+    ids=[
+        "template-key",
+        "template-solver-type",
+        "template-solver-range",
+        "template-solver-number",
+        "template-range",
+        "template-number",
+        "solver-type",
+        "solver-key",
+        "knowledge-type",
+    ],
+)
+def test_error_in_a_nested_record_names_its_place(cls, obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_json(cls, obj)
+
+
+@dataclass(frozen=True)
+class Evaluated:
+    """A record whose annotations are classes, not strings."""
+
+    count: int
+    scale: float | None = None
+    sizes: list[int] = field(default_factory=list)
+    label: str = ""
+    solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        check_types(self)
+
+
+def test_rule_reads_evaluated_annotations():
+    assert Evaluated(2, 0.5, [1, 2], "x") == Evaluated(2, 0.5, [1, 2], "x")
+    assert from_json(Evaluated, {"count": 1, "solver": {"max_iters": 3}}).solver.max_iters == 3
+    for bad, message in (
+        ({"count": True}, "count must be an integer"),
+        ({"scale": "1"}, "scale must be a finite real number"),
+        ({"sizes": [1, 2.5]}, r"sizes\[1\] must be an integer"),
+        ({"label": 5}, "label must be a string"),
+        ({"solver": {}}, "solver must be a SolverOptions"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Evaluated(**{"count": 1, **bad})
+
+
+def known_to_the_rule(kind) -> bool:
+    """Whether ``check_types`` checks the annotation ``kind`` or leaves it
+    unchecked by name: a scalar in ``WRONG``, a record, ``list[X]`` or
+    ``X | None`` of such an X, or one of ``UNCHECKED``."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return len(args) == 2 and args[1] is type(None) and known_to_the_rule(args[0])
+    if typing.get_origin(kind) is list:
+        return known_to_the_rule(args[0])
+    return kind in WRONG or is_dataclass(kind) or kind in UNCHECKED
+
+
+def test_every_annotation_is_a_kind_the_rule_knows():
+    # a dict[...] or tuple[...] field would pass the rule unchecked: it must
+    # fail here first, and be given a rule or named as unchecked
+    records = [
+        cls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for cls in vars(importlib.import_module(f"gramscope.{path.stem}")).values()
+        if inspect.isclass(cls) and is_dataclass(cls) and cls.__module__ == f"gramscope.{path.stem}"
+    ]
+    assert set(LOADERS) <= set(records)
+    unknown = [
+        f"{cls.__name__}.{name}: {kind}"
+        for cls in records
+        for name, kind in field_types(cls).items()
+        if not known_to_the_rule(kind)
+    ]
+    assert unknown == []
+    for kind in (dict[str, int], tuple[int, int], int | str, list[dict], typing.Any):
+        assert not known_to_the_rule(kind), kind
 
 
 def test_solve_settings_are_declared_once():
