@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import TrialConfig, estimate, evaluate
+from .estimator import TrialConfig, estimate, estimate_record, evaluate
 from .synth import check_types
 
 
@@ -46,24 +46,11 @@ def trial_seed(master_seed: int, template_index: int, trial_index: int) -> int:
 
 
 def run_trial(cfg: TrialConfig) -> dict:
-    """Run one trial and flatten estimate + metrics into a JSON-ready record."""
+    """One trial's seed, ``estimate_record`` and wall time ``seconds``, evaluation included."""
     start = time.perf_counter()
     est, truth = estimate(cfg)
-    metrics = evaluate(est, truth)
-    record = {
-        "seed": cfg.seed,
-        "certified": est.certified,
-        "target_rank": est.target_rank,
-        "augmentations": est.augmentations,
-        "objective": est.report.objective,
-        "iterations": est.report.iterations,
-        "total_iterations": est.total_iterations,
-        "solves": est.solves,
-        "converged": est.report.converged,
-        "seconds": time.perf_counter() - start,  # the whole trial, evaluation included
-    }
-    record.update(asdict(metrics))
-    return record
+    record = estimate_record(est, evaluate(est, truth))
+    return {"seed": cfg.seed, **record, "seconds": time.perf_counter() - start}
 
 
 @dataclass

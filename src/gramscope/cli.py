@@ -21,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .batch import BatchSpec, run_batch
-from .estimator import SolveConfig, TrialConfig, draw_trial, estimate, evaluate, solve_table
+from .estimator import (
+    SolveConfig,
+    TrialConfig,
+    draw_trial,
+    estimate,
+    estimate_record,
+    evaluate,
+    solve_table,
+)
 from .synth import DataTable, dump_json, from_json, projective_multiplicities
 from .theory import check_settings, run_all_checks
 
@@ -100,8 +108,8 @@ def _recorded_table(cfg: dict) -> tuple[DataTable, DataConfig]:
 def cmd_estimate(args) -> int:
     """Run one trial, or, when the config names a ``data`` directory, one
     solve and certificate of its recorded table (no ground truth, no
-    augmentation). Either way write ``estimate.json`` (the same keys on both
-    paths; a table's ``metrics`` is null), ``g_hat.json`` and the
+    augmentation). Either way write ``estimate.json``, the estimate's
+    ``estimate_record`` (a table's metrics are null), ``g_hat.json`` and the
     ``table.json`` solved; a trial also writes ``ground_truth.json``."""
     cfg = _load_json(args.config)
     truth = metrics = None
@@ -111,28 +119,15 @@ def cmd_estimate(args) -> int:
     else:
         est, truth = estimate(_checked("trial config", from_json, TrialConfig, cfg))
         metrics = evaluate(est, truth)
-    result = {
-        "certified": est.certified,
-        "target_rank": est.target_rank,
-        "augmentations": est.augmentations,
-        "solves": est.solves,
-        "total_iterations": est.total_iterations,
-        "report": est.report,
-        "metrics": metrics,
-    }
+    record = estimate_record(est, metrics)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_json(result, out / "estimate.json")
+    dump_json(record, out / "estimate.json")
     dump_json(est.g_hat, out / "g_hat.json")
     if truth is not None:
         dump_json(truth, out / "ground_truth.json")
     dump_json(est.table, out / "table.json")
-    log.info(
-        "estimate: certified=%s augmentations=%d max_err=%s",
-        est.certified,
-        est.augmentations,
-        "n/a" if metrics is None else f"{metrics.max_entry_error:.2e}",
-    )
+    log.info("estimate: %s", record)
     return EXIT_OK
 
 

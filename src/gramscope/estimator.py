@@ -37,10 +37,17 @@ from .synth import (
     Ensemble,
     born_probabilities,
     check_types,
+    field_types,
     from_json,
     projective_multiplicities,
     sample_ensemble,
 )
+
+
+#: Largest dimension a config accepts. ``evaluate`` realizes the true states
+#: and effects in ``herm_basis(d)``, d**2 complex d x d matrices: 16 * d**4
+#: bytes, 268 MB at d = 64 and growing as d**4 beyond it.
+MAX_D = 64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,6 +73,8 @@ class SolveConfig:
         check_types(self)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.d > MAX_D:
+            raise ValueError(f"d must be <= {MAX_D}, got {self.d}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.epsilon < 0:
@@ -278,6 +287,19 @@ def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
         data_block_error=float(np.max(np.abs(est.g_hat.data_block - g_true.data_block))),
         trace_true=float(np.trace(g_true.values)),
     )
+
+
+def estimate_record(est: GramEstimate, metrics: Metrics | None) -> dict:
+    """The flat record of an estimate, as ``estimate.json`` and every batch
+    trial record hold it: each scalar field of ``est`` (``X | None`` too),
+    each field of its last solve's report but the wall time ``seconds``, and
+    each field of ``metrics``, all None when there is no ground truth."""
+    scalars = (bool, int, float, bool | None, int | None, float | None)
+    return {
+        **{n: getattr(est, n) for n, kind in field_types(GramEstimate).items() if kind in scalars},
+        **{n: getattr(est.report, n) for n in field_types(SolverReport) if n != "seconds"},
+        **{n: None if metrics is None else getattr(metrics, n) for n in field_types(Metrics)},
+    }
 
 
 def factor(g_hat: GramMatrix, rank: int) -> np.ndarray:

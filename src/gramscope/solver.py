@@ -34,7 +34,12 @@ RHO = 1.0
 ALPHA = 1.6
 #: Iterations between two residual-balancing updates of rho (Boyd et al.
 #: 2011, "Distributed optimization and statistical learning via ADMM",
-#: section 3.4.1).
+#: section 3.4.1). Balancing is kept for the finite-shot solves: never
+#: updating rho took instances 0-39 of the benchmark's d2_shots_augment pool
+#: from 56,192 to 91,247 iterations in total, up to 3.4 times as many on one
+#: instance, and one instance no longer converged within 40,000 iterations.
+#: On d3_large_solve pool instances 0-5 rho never changed, so it costs
+#: nothing there.
 RHO_UPDATE_EVERY = 100
 #: Steps the Anderson extrapolation combines.
 ANDERSON_MEMORY = 20
@@ -125,6 +130,14 @@ def _svec_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``weight``, 1 on diagonal and sqrt(2) on off-diagonal entries; and
     ``full``, an n x n index array with ``m = (svec / weight).take(full)``,
     which is exactly symmetric.
+
+    The iterates are svecs rather than full n x n matrices because the
+    full ones were measured slower (2 cores, one BLAS thread): with them
+    ``trial_cost.p50`` of the benchmark's d3_large_solve went from
+    0.199-0.216 to 0.230-0.234 and ``peak_rss_mb`` from 47.8 to 50.0, since
+    the float32 Anderson history doubles in size, and d2_shots_augment went
+    from 0.54-0.61 to 0.62-0.63, slower in 4 of 4 alternating pairs on each;
+    d2_single_solve did not change.
     """
     rows, cols = np.triu_indices(n, 1)
     rows = np.concatenate((np.arange(n), rows))

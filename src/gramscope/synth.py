@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -264,14 +264,18 @@ def _check(kind, value, place: str) -> None:
 
 def from_json(cls, obj: dict):
     """Build the dataclass ``cls`` from a JSON dict; its ``field_types`` are
-    the schema, and a key that is not a field raises ValueError naming it. A
-    JSON object given for a record, alone or in a list, is built by this same
-    function; an error in it names its place (``templates[0].solver: ...``).
+    the schema, and a key that is not a field, or a field with no default
+    and no key, raises ValueError naming it. A JSON object given for a
+    record, alone or in a list, is built by this same function; an error in
+    it names its place (``templates[0].solver: ...``).
     Any other value goes to ``cls`` as it is, for ``check_types`` to judge."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
     if extra := obj.keys() - field_types(cls):
         raise ValueError(f"unknown {cls.__name__} key(s): {sorted(extra)}")
+    required = [f.name for f in fields(cls) if f.default is MISSING is f.default_factory]
+    if missing := [name for name in required if name not in obj]:
+        raise ValueError(f"missing {cls.__name__} key(s): {missing}")
     return cls(**{name: _nested(field_types(cls)[name], v, name) for name, v in obj.items()})
 
 

@@ -2,13 +2,15 @@
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gramscope.batch import BatchSpec
+from gramscope.batch import BatchSpec, trial_seed
 from gramscope.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from gramscope.estimator import TrialConfig, estimate
+from gramscope.estimator import MAX_D, GramEstimate, Metrics, TrialConfig, estimate
+from gramscope.solver import SolverReport
 from gramscope.synth import from_json
 
 
@@ -107,9 +109,9 @@ class TestEstimate:
         result = json.loads((out / "estimate.json").read_text())
         assert result["certified"]
         assert result["target_rank"] == 1
-        assert result["metrics"]["success"]
+        assert result["success"]
         assert result["solves"] == result["augmentations"] + 1
-        assert result["total_iterations"] >= result["report"]["iterations"]
+        assert result["total_iterations"] >= result["iterations"]
 
     def test_dump_writes_artifacts(self, tmp_path):
         # every trial writes its estimate, ground truth and table; there is
@@ -148,15 +150,33 @@ class TestEstimate:
         result = json.loads((out / "estimate.json").read_text())
         assert result["target_rank"] == 4
         assert result["solves"] == 1
-        assert result["total_iterations"] == result["report"]["iterations"]
+        assert result["total_iterations"] == result["iterations"]
         assert (out / "g_hat.json").exists() and not (out / "ground_truth.json").exists()
         assert (out / "table.json").read_bytes() == (data / "table.json").read_bytes()
+        # a table has no ground truth
+        assert result["augmentations"] == 0 and result["success"] is None
 
-        # the same keys as a trial's estimate.json; a table has no ground truth
-        trial, trial_cfg = tmp_path / "trial", write_json(tmp_path / "t.json", EST_CFG)
-        assert main(["estimate", "--config", trial_cfg, "--out", str(trial)]) == EXIT_OK
-        assert set(result) == set(json.loads((trial / "estimate.json").read_text()))
-        assert result["augmentations"] == 0 and result["metrics"] is None
+    def test_record_is_the_scalar_fields(self, tmp_path):
+        # estimate.json is flat: the scalar fields of the estimate, of its
+        # last solve's report but the wall time, and of its metrics; with
+        # no wall time in it, one config writes the same bytes every run
+        cfg = write_json(tmp_path / "t.json", EST_CFG)
+        for name in ("a", "b"):
+            assert main(["estimate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        trial = (tmp_path / "a" / "estimate.json").read_bytes()
+        assert trial == (tmp_path / "b" / "estimate.json").read_bytes()
+
+        recorded = {"d": 2, "data": str(self._recorded(tmp_path))}
+        cfg = write_json(tmp_path / "e.json", recorded)
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_OK
+        table = json.loads((tmp_path / "c" / "estimate.json").read_text())
+        assert set(table) == set(json.loads(trial))
+
+        scalars = {kind + none for kind in ("bool", "int", "float") for none in ("", " | None")}
+        expected = {f.name for f in fields(GramEstimate) if f.type in scalars}
+        expected |= {f.name for f in fields(SolverReport) if f.name != "seconds"}
+        expected |= {f.name for f in fields(Metrics)}
+        assert set(table) == expected
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt key must not fall back to a default, on either path;
@@ -294,6 +314,26 @@ class TestBatch:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    def test_trial_record_is_the_estimate_record(self, tmp_path):
+        # the library (run_trial), batch and CLI write one record: a trial
+        # of the batch re-run by `estimate` at its seed matches it but for
+        # the trial's seed and wall time (trial 0 grows twice, trial 1 not)
+        template = {"d": 2, "n_states": 3, "n_measurements": 3, "shots": 10**4,
+                    "epsilon": 0.01, "tau": 1e-2, "max_augmentations": 2}
+        spec = {"templates": [template], "trials_per_template": 2, "master_seed": 5}
+        batch = tmp_path / "batch"
+        assert main(["batch", "--config", write_json(tmp_path / "b.json", spec),
+                     "--out", str(batch)]) == EXIT_OK
+        for k in range(2):
+            trial = {**template, "seed": trial_seed(5, 0, k)}
+            out = tmp_path / f"est{k}"
+            assert main(["estimate", "--config", write_json(tmp_path / "t.json", trial),
+                         "--out", str(out)]) == EXIT_OK
+            record = json.loads((batch / "trials" / f"template0_trial00{k}.json").read_text())
+            assert record.pop("seed") == trial["seed"] and record.pop("seconds") > 0
+            assert json.loads((out / "estimate.json").read_text()) == record
+            assert record["augmentations"] == 2 - 2 * k
+
     def test_bad_spec_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"templates": []})
         assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -317,9 +357,14 @@ class TestBatch:
     def test_error_in_a_template_names_its_place(self, tmp_path, capsys):
         template = {**EST_CFG, "solver": {"max_iters": True}}
         misspelt = {**EST_CFG, "nstates": 2}
+        no_states = {k: v for k, v in EST_CFG.items() if k != "n_states"}
         for obj, place in (
             ({**self.BATCH_CFG, "templates": [EST_CFG, misspelt]}, "templates[1]: unknown"),
             ({**self.BATCH_CFG, "templates": [template]}, "templates[0].solver: max_iters"),
+            (
+                {**self.BATCH_CFG, "templates": [EST_CFG, no_states]},
+                "templates[1]: missing TrialConfig key(s): ['n_states']",
+            ),
         ):
             cfg = write_json(tmp_path / "cfg.json", obj)
             assert main(["batch", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -392,6 +437,18 @@ def test_shots_beyond_a_c_long_are_config_error(tmp_path, capsys, command):
     cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "shots": 2**63 - 1})
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "table.json").read_text())["shots"] == 2**63 - 1
+
+
+def test_d_beyond_its_bound_is_config_error(tmp_path, capsys):
+    # a huge d must not reach `[1] * d` (an OverflowError) or an allocation
+    # of 16 * d**4 bytes in herm_basis
+    out = tmp_path / "o"
+    for d in (10**30, MAX_D + 1):
+        cfg = write_json(tmp_path / "cfg.json", {**SYNTH_CFG, "d": d})
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"d must be <= {MAX_D}, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+    assert from_json(TrialConfig, {**SYNTH_CFG, "d": MAX_D}).d == MAX_D
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "batch"])
