@@ -10,10 +10,13 @@ is split over two sets: the entrywise knowledge set with the trace folded
 into its prox, and the spectral box handled by eigenvalue clipping. Each
 iteration clips once: by a dense symmetric eigendecomposition, or by a
 partial one from a warm Ritz subspace whose error is certified small
-enough for inexact ADMM. The ADMM step is run as a fixed-point map and
-extrapolated by safeguarded Anderson acceleration, which cuts the number
-of iterations. The loop keeps its iterates as weighted upper triangles
-("svec") and stops on the fixed-point residual of the evaluated point.
+enough for inexact ADMM. The ADMM step, plain Douglas-Rachford splitting
+without over-relaxation at a penalty that starts at RHO / sqrt(n), is run
+as a fixed-point map and extrapolated by safeguarded Anderson acceleration
+(Fu, Zhang & Boyd 2020, "Anderson accelerated Douglas-Rachford
+splitting"), which cuts the number of iterations. The loop keeps its
+iterates as weighted upper triangles ("svec") and stops on the fixed-point
+residual of the evaluated point.
 """
 
 from __future__ import annotations
@@ -28,18 +31,28 @@ from .gram import GramMatrix, Knowledge
 from .hermitian import WarmSpectrum, _solve, clip_spectrum
 from .synth import check_types
 
-#: Initial ADMM penalty rho.
-RHO = 1.0
-#: Over-relaxation factor alpha of the ADMM step, in [1, 2).
-ALPHA = 1.6
+#: Initial ADMM penalty rho times sqrt(n): a solve of size n starts at
+#: rho = RHO / sqrt(n), 3.10 at n=15, 0.89 at n=180 and 0.63 at n=360.
+#: Measured without over-relaxation on every instance of the benchmark's
+#: pools, as the median of iterations over the pool baseline on
+#: d2_single_solve (256 instances), d2_shots_augment (128) and
+#: d3_large_solve (24):
+#:   RHO = 10            0.191, 0.339, 0.274 (d3: 2,591 full eigh)
+#:   RHO = 12            0.196, 0.328, 0.290 (d3: 2,349 full eigh)
+#:   RHO = 16            0.218, 0.330, 0.322 (d3: 2,773 full eigh)
+#:   constant rho = 2    0.190, 0.369, 0.396
+#:   constant rho = 0.5  d3: 0.239, but 6,358 full eigh
+#:   rho = 1, over-relaxation 1.6 (the former step): 0.246, 0.399, 0.343
+#: 12 was the most even across the three pools.
+RHO = 12.0
 #: Iterations between two residual-balancing updates of rho (Boyd et al.
 #: 2011, "Distributed optimization and statistical learning via ADMM",
 #: section 3.4.1). Balancing is kept for the finite-shot solves: never
-#: updating rho took instances 0-39 of the benchmark's d2_shots_augment pool
-#: from 56,192 to 91,247 iterations in total, up to 3.4 times as many on one
-#: instance, and one instance no longer converged within 40,000 iterations.
-#: On d3_large_solve pool instances 0-5 rho never changed, so it costs
-#: nothing there.
+#: updating rho took the 128 instances of the benchmark's d2_shots_augment
+#: pool from 146,820 to 250,443 iterations in total, up to 8.1 times as
+#: many on one instance, and two instances no longer converged within
+#: 40,000 iterations. On the 24 of the d3_large_solve pool rho never
+#: changed, so it costs nothing there.
 RHO_UPDATE_EVERY = 100
 #: Steps the Anderson extrapolation combines.
 ANDERSON_MEMORY = 20
@@ -50,12 +63,13 @@ ANDERSON_RIDGE = 1e-8
 #: of each inexact step, below the bound 1 of inexact ADMM, not a stopping
 #: rule. Swept over {0.1, 0.2, 0.3, 0.5} on instances 0-3 and 6-9 of the
 #: benchmark's d=3 (30,50) pool (n=180, one BLAS thread): full
-#: eigendecompositions went 829 / 786 / 723 / 640, failed partial attempts
-#: 367 / 324 / 261 / 178, iterations 2799 / 2809 / 2797 / 2733 and time
-#: 5.9 / 5.6 / 5.8 / 5.5 s (medians of 5 interleaved repeats, whose spread
-#: was about 1 s). 0.3 was the smallest value past the knee when a partial
-#: step could take three Rayleigh-Ritz rounds; with one round the counts
-#: fall without a knee up to 0.5. At d=2 no partial step runs.
+#: eigendecompositions went 841 / 778 / 686 / 618, failed partial attempts
+#: 386 / 323 / 231 / 163, iterations 2365 / 2373 / 2365 / 2399 and time
+#: 5.6 / 5.5 / 5.5 / 4.9 s (medians of 5 interleaved repeats, whose spread
+#: was up to 1.6 s). 0.3 was chosen as the smallest value past the knee
+#: when a partial step could take three Rayleigh-Ritz rounds; with one
+#: round the counts fall without a knee up to 0.5, and the lower time at
+#: 0.5 is inside the spread, so 0.3 stays. At d=2 no partial step runs.
 PARTIAL_TOL = 0.3
 
 
@@ -83,7 +97,7 @@ class SolverOptions:
     fixed-point residual r = ||x - z||_F of the evaluated point is at most
     ``primal_tol`` and rho * r, which bounds the stationarity residual, at
     most ``dual_tol`` (see ``solve_trace_min``); the step itself is fixed
-    by ``RHO``, ``ALPHA`` and ``RHO_UPDATE_EVERY``."""
+    by ``RHO`` and ``RHO_UPDATE_EVERY``."""
 
     max_iters: int = 200_000
     primal_tol: float = 1e-8
@@ -104,11 +118,12 @@ class SolverReport:
     ``primal_residual`` is r = ||x - z||_F and ``dual_residual`` is
     rho * r, both at the last evaluated point: r bounds the distance of
     the returned z to the knowledge set, and rho * r the stationarity
-    residual."""
+    residual. ``rho`` is the penalty when the solve stopped."""
 
     iterations: int
     primal_residual: float
     dual_residual: float
+    rho: float
     objective: float
     converged: bool
     seconds: float
@@ -198,9 +213,9 @@ def solve_trace_min(
     """Run the ADMM, Anderson-accelerated, until the fixed-point residual
     falls below tolerance.
 
-    With v = x_relaxed + u, one ADMM step is the fixed-point map
-    F(v) = v + ALPHA * (x - z), where z = clip_spectrum(v) and
-    x = prox(2z - v), the prox of the trace over the knowledge set. The
+    With v = x + u, one ADMM step is the Douglas-Rachford fixed-point map
+    F(v) = v + (x - z), with no over-relaxation, where z = clip_spectrum(v)
+    and x = prox(2z - v), the prox of the trace over the knowledge set. The
     loop keeps v, z, x and F(v) as svecs (weighted upper triangles, see
     ``_svec_maps``), on which the prox is entrywise: the diagonal shifts by
     -1/rho, exact pins are written and interval pins clipped. A point is
@@ -220,7 +235,8 @@ def solve_trace_min(
     residual r than the point before it, the solver takes the plain step F
     from that earlier point instead and drops the history
     (``SolverReport.rejected_steps`` counts these). Every
-    ``RHO_UPDATE_EVERY`` iterations rho, which starts at ``RHO``, is
+    ``RHO_UPDATE_EVERY`` iterations rho, which starts at ``RHO / sqrt(n)``
+    and is reported as ``SolverReport.rho`` when the solve stops, is
     balanced against r and the z-step rho * ||z - z_prev||_F, and the
     history is dropped whenever rho changes.
 
@@ -260,7 +276,7 @@ def solve_trace_min(
     extrapolated = False  # whether the next point v is an extrapolation
     rejected = 0
     warm = WarmSpectrum()
-    rho = RHO
+    rho = RHO / math.sqrt(n)
     t0 = time.perf_counter()
     z = v  # z_prev of the first point
     r_norm = np.inf
@@ -299,8 +315,7 @@ def solve_trace_min(
             v = last[0]
             last, steps, extrapolated = None, 0, False
             continue
-        f = x * ALPHA
-        f += v
+        f = x + v
         extrapolated = last is not None
         if extrapolated:
             slot = steps % ANDERSON_MEMORY
@@ -321,6 +336,7 @@ def solve_trace_min(
         iterations=it,
         primal_residual=r_norm,
         dual_residual=rho * r_norm,
+        rho=rho,
         objective=float(np.trace(z_mat)),
         converged=converged,
         seconds=time.perf_counter() - t0,

@@ -181,7 +181,7 @@ class TestEstimate:
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt key must not fall back to a default, on either path;
         # K is d, or the length of degeneracies, so n_outcomes is no trial key,
-        # and the ADMM's over-relaxation is fixed, so alpha is no solver key
+        # and the ADMM step has no over-relaxation, so alpha is no solver key
         trial = {**EST_CFG, "bogus": 1}
         outcomes = {**EST_CFG, "n_outcomes": 3}
         alpha = {**EST_CFG, "solver": {"alpha": 1.5}}

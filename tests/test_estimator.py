@@ -318,7 +318,7 @@ class TestEstimateEndToEnd:
         # state_first, then its new row or columns' multinomials state by
         # state; a solve that never certifies makes the trial grow to budget
         report = SolverReport(
-            iterations=1, primal_residual=0.0, dual_residual=0.0, objective=0.0,
+            iterations=1, primal_residual=0.0, dual_residual=0.0, rho=1.0, objective=0.0,
             converged=True, seconds=0.0,
         )
 

@@ -1,5 +1,7 @@
 """Tests for the ADMM trace-minimization solver and its proximal pieces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from gramscope.gram import (
 )
 from gramscope.hermitian import clip_spectrum
 from gramscope.solver import (
+    RHO,
+    RHO_UPDATE_EVERY,
     SdpProblem,
     SolverOptions,
     _pin_rule,
@@ -207,6 +211,17 @@ class TestSolveTraceMin:
         assert not report.converged
         assert report.iterations == 3
 
+    def test_penalty_starts_scaled_to_the_size(self):
+        # rho starts at RHO / sqrt(n) and is first balanced after
+        # RHO_UPDATE_EVERY iterations, so a solve cut before then reports
+        # the starting penalty
+        for n, prob in ((15, instance(2, 5, 5, seed=0)), (180, instance(3, 30, 50, seed=1))):
+            assert prob.n == n
+            _, report = solve_trace_min(prob, SolverOptions(max_iters=RHO_UPDATE_EVERY - 1))
+            assert report.iterations < RHO_UPDATE_EVERY
+            assert report.rho == RHO / math.sqrt(n)
+            assert report.dual_residual == report.rho * report.primal_residual
+
     def test_iteration_is_one_eigendecomposition(self, monkeypatch):
         # every evaluated point, a rejected extrapolation included, clips
         # once, and the svec iterate is expanded to an exactly symmetric
@@ -273,7 +288,9 @@ class TestSolveTraceMin:
         # optimum or loosen the pins. The bound is what partial steps of up
         # to three Rayleigh-Ritz rounds needed with a budget of 0.1 r: 83
         # full eigendecompositions in 349 iterations (62 in 356 at 0.3 r).
-        # One round needs 88 in 356 at 0.1 r and 69 in 375 at 0.3 r.
+        # One round needs 88 in 356 at 0.1 r and 69 in 375 at 0.3 r; with
+        # the step at RHO / sqrt(n) and no over-relaxation, 91 in 289 at
+        # 0.1 r and 70 in 289 at 0.3 r.
         full_steps_at_budget_one_tenth = 83
         prob = instance(3, 30, 50, seed=1)
         opts = SolverOptions(primal_tol=1e-7, dual_tol=1e-7)
@@ -289,7 +306,9 @@ class TestSolveTraceMin:
 
     def test_acceleration_halves_iterations(self):
         # plain ADMM (no extrapolation) took 1074 iterations on this
-        # instance; the accelerated loop must need at most half of that
+        # instance at rho = 1 with over-relaxation 1.6, and 753 at
+        # RHO / sqrt(n) with none; the accelerated loop must need at most
+        # half of the former
         plain_admm_iterations = 1074
         _, report = solve_trace_min(instance(2, 5, 6, seed=10), SolverOptions())
         assert report.converged
@@ -297,7 +316,9 @@ class TestSolveTraceMin:
 
     def test_anderson_memory_halves_iterations(self):
         # at memory 10 the twelve d=2 (5,5) solves of seeds 0-11 took 16170
-        # iterations in all (12456 of them on seed 7); memory 20 took 4984
+        # iterations in all (12456 of them on seed 7); memory 20 took 4984.
+        # With the step at RHO / sqrt(n) and no over-relaxation, memory 10
+        # takes 8787 (5711 on seed 7) and memory 20 takes 3715
         memory_10_iterations = 16170
         total = 0
         for seed in range(12):
