@@ -29,17 +29,9 @@ from .solver import (
     SdpProblem,
     SolverOptions,
     SolverReport,
-    prox_trace_plus_knowledge,
     solve_trace_min,
 )
-from .synth import (
-    DataTable,
-    Ensemble,
-    haar_unitary,
-    sample_ensemble,
-    sample_projective_measurement,
-    sample_pure_state,
-)
+from .synth import DataTable, Ensemble, sample_ensemble
 from .theory import rank_conjugate
 
 __version__ = "0.1.0"
@@ -63,19 +55,15 @@ __all__ = [
     "factor",
     "gauge_distance",
     "gram",
-    "haar_unitary",
     "herm_basis",
     "knowledge_projective",
     "knowledge_relax",
     "numerical_rank",
-    "prox_trace_plus_knowledge",
     "r_qm",
     "rank_certificate",
     "rank_conjugate",
     "realize",
     "sample_ensemble",
-    "sample_projective_measurement",
-    "sample_pure_state",
     "solve_table",
     "solve_trace_min",
     "vectorize",

@@ -133,6 +133,11 @@ def vectorize(h: np.ndarray) -> np.ndarray:
 #: fraction of n columns; beyond it a dense eigh is about as cheap.
 PARTIAL_FRACTION = 0.25
 #: Eigenvectors a step keeps in the warm basis beyond the positive ones.
+#: At 0, on the 24 instances of the benchmark's d3_large_solve pool:
+#: iterations 7,447 -> 7,150, but full eigh 2,349 -> 2,577 and failed
+#: partial steps 916 -> 1,174; solve time 15.3-22.1 s against 15.7-22.5 s
+#: in 6 alternating repeats (one BLAS thread, 2-core Xeon), no difference
+#: outside the spread.
 PARTIAL_BUFFER = 4
 
 

@@ -57,10 +57,12 @@ class DataTable:
     ``shots`` is None for asymptotic (Born-rule) tables. Column (v, k) sits
     at index v*K + k. A table checks itself when it is built: the counts
     and ``shots`` are integers >= 1, and ``values`` (stored as a float
-    array; a None cell reads as NaN) has shape (W, V*K), finite entries in
-    [0, 1], and each (state, measurement) block sums to 1 within
-    ``ROW_SUM_TOL``. ``values`` is a read-only copy, so a table stays as it
-    was checked and the caller's array stays writable.
+    array) has shape (W, V*K), finite entries in [0, 1], and each (state,
+    measurement) block sums to 1 within ``ROW_SUM_TOL``. Any input but a
+    float array is first checked cell by cell by the type rule's ``float``
+    line, which names the cell (``values[0][3]``). ``values`` is a
+    read-only copy, so a table stays as it was checked and the caller's
+    array stays writable.
     """
 
     values: np.ndarray
@@ -77,11 +79,8 @@ class DataTable:
                 raise ValueError(f"{name} must be >= 1, got {count}")
         vals = self.values
         if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"):
-            for cell in np.asarray(vals, dtype=object).flat:
-                if cell is not None and (
-                    isinstance(cell, bool) or not isinstance(cell, numbers.Real)
-                ):
-                    raise ValueError(f"values must be numbers, got {cell!r}")
+            for at, cell in np.ndenumerate(np.asarray(vals, dtype=object)):
+                _check(float, cell, "values" + "".join(f"[{i}]" for i in at))
         vals = np.array(vals, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -169,10 +168,7 @@ def projective_multiplicities(
     as the pattern's length.
     """
     mults = [1] * d if degeneracies is None else degeneracies
-    if not isinstance(mults, list) or any(
-        isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in mults
-    ):
-        raise ValueError(f"degeneracy pattern {mults!r} must be a list of integer multiplicities")
+    _check(list[int], mults, "degeneracies")
     k_ = len(mults) if n_outcomes is None else n_outcomes
     if len(mults) != k_ or sum(mults) != d or any(m < 1 for m in mults):
         raise ValueError(
@@ -308,8 +304,9 @@ def _encode(obj):
 
 
 def dump_json(obj, path) -> None:
-    """Write ``obj`` as JSON with a stable layout, so identical content is
-    byte-identical; a record is written by ``_encode``. An object JSON
-    cannot hold raises TypeError before ``path`` is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_encode)
+    """Write ``obj`` as one line of JSON with sorted keys, so identical
+    content is byte-identical; a record is written by ``_encode``. An
+    object JSON cannot hold raises TypeError before ``path`` is opened.
+    No indent: one makes ``json.dumps`` leave its C encoder for Python's."""
+    text = json.dumps(obj, sort_keys=True, default=_encode)
     Path(path).write_text(text + "\n")

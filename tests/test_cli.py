@@ -247,18 +247,18 @@ class TestEstimate:
         row_sums = [[0.9] * 4 for _ in recorded["values"]]  # row sums 1.8
         first, *rest = recorded["values"]
         nan_cell = [[np.nan, *first[1:]], *rest]
-        null_cell = [[None, *first[1:]], *rest]  # a JSON null reads as NaN
+        null_cell = [[None, *first[1:]], *rest]
         str_cells = [[str(x) for x in first], *rest]
         for key, value, message in (
             ("values", row_sums, "do not sum to 1"),
             ("values", nan_cell, "finite"),
-            ("values", null_cell, "finite"),
+            ("values", null_cell, "values[0][0] must be a finite real number, got None"),
             ("n_states", 3.7, "n_states"),
             ("n_outcomes", 2.0, "n_outcomes"),
             ("shots", True, "shots"),
             ("shots", -5, "shots"),
             ("shots", 0, "shots"),
-            ("values", str_cells, "values"),
+            ("values", str_cells, "values[0][0] must be a finite real number, got '"),
         ):
             write_json(data / "table.json", {**recorded, key: value})
             cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})

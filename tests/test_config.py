@@ -225,6 +225,30 @@ def test_every_annotation_is_a_kind_the_rule_knows():
         assert not known_to_the_rule(kind), kind
 
 
+def numbers_scopes(node: ast.AST, scope: str):
+    """The dotted scope of every use of the ``numbers`` module under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from numbers_scopes(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.ImportFrom) and child.module == "numbers":
+            yield scope
+        if isinstance(child, ast.Attribute) and ast.unparse(child.value) == "numbers":
+            yield scope
+        yield from numbers_scopes(child, scope)
+
+
+def test_numbers_are_tested_only_by_the_type_rule_and_pin_rows():
+    # an element check written by hand would drift from the rule's lines and
+    # messages; only Knowledge's pin rows take an integral float on purpose
+    scopes = {
+        scope
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in numbers_scopes(ast.parse(path.read_text(), str(path)), path.stem)
+    }
+    assert scopes == {"synth._check", "gram.Knowledge.__post_init__"}
+
+
 def test_solve_settings_are_declared_once():
     # a solve setting added to one subclass only would not reach the other
     solve = {f.name for f in fields(SolveConfig)}

@@ -13,6 +13,7 @@ from gramscope.synth import (
     dump_json,
     from_json,
     haar_unitary,
+    projective_multiplicities,
     sample_ensemble,
     sample_mixed_state,
     sample_projective_measurement,
@@ -84,8 +85,12 @@ class TestSampleProjectiveMeasurement:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_projective_measurement(3, rng, degeneracies=[2, 2])
-        with pytest.raises(ValueError, match="integer multiplicities"):
+        with pytest.raises(ValueError, match=r"^degeneracies\[0\] must be an integer, got 1.5$"):
             sample_projective_measurement(3, rng, degeneracies=[1.5, 1.5])
+        with pytest.raises(ValueError, match=r"^degeneracies\[1\] must be an integer, got True$"):
+            projective_multiplicities(2, None, [1, True])
+        with pytest.raises(ValueError, match=r"^degeneracies must be a list, got \(2, 1\)$"):
+            projective_multiplicities(3, None, (2, 1))
 
 
 class TestBornTable:
@@ -239,6 +244,10 @@ class TestFiniteShotTable:
                 born_table(type(ens)(dim=2, states=[rho], povms=ens.povms))
 
 
+#: The type rule's message on a table cell that is not a finite real number.
+CELL = r"values\[{}\]\[{}\] must be a finite real number"
+
+
 class TestDataTable:
     TABLE = {
         "values": [[0.25, 0.75], [1.0, 0.0]],
@@ -259,14 +268,20 @@ class TestDataTable:
             ({"n_outcomes": -1}, "n_outcomes must be >= 1"),
             ({"shots": 0}, "shots must be >= 1"),
             ({"shots": -5}, "shots must be >= 1"),
-            ({"values": [[0.25, "0.75"], [1.0, 0.0]]}, "values must be numbers"),
-            ({"values": [[0.25, 0.75], [True, False]]}, "values must be numbers"),
-            ({"values": [[0.25, 0.75], [1.0]]}, "values must be numbers"),
+            ({"values": [[0.25, "0.75"], [1.0, 0.0]]}, rf"^{CELL.format(0, 1)}, got '0.75'$"),
+            ({"values": [[0.25, 0.75], [True, False]]}, rf"^{CELL.format(1, 0)}, got True$"),
+            (
+                {"values": [[0.25, 0.75], [1.0]]},
+                r"^values\[0\] must be a finite real number, got \[0.25, 0.75\]$",
+            ),
             ({"values": [[0.25, 0.75]]}, "shape"),
             ({"values": [[0.25, 0.75], [None, 0.0]]}, "finite"),
             ({"values": [[0.25, 0.75], [np.inf, 0.0]]}, "finite"),
             ({"values": [[1.25, -0.25], [1.0, 0.0]]}, r"outside \[0, 1\]"),
             ({"values": [[0.25, 0.5], [1.0, 0.0]]}, "do not sum to 1"),
+            ({"values": [[0.25, None], [1.0, 0.0]]}, rf"^{CELL.format(0, 1)}, got None$"),
+            ({"values": [[0.25, True], [1.0, 0.0]]}, rf"^{CELL.format(0, 1)}, got True$"),
+            ({"values": [[0.25, "a"], [1.0, 0.0]]}, rf"^{CELL.format(0, 1)}, got 'a'$"),
         ],
     )
     def test_rejects_invalid_table(self, change, message):
