@@ -115,15 +115,15 @@ class TrialConfig(SolveConfig):
 
 @dataclass
 class GramEstimate:
-    """Solver output with rank certificate, optional gauge-fixed factor, and
-    the data table that was solved. ``report`` is the last solve's;
-    ``solves`` and ``total_iterations`` count the solves and their ADMM
-    iterations over the whole trial, augmentation steps included; for
-    ``solve_table`` that is its one solve."""
+    """Solver output with rank certificate (``rank_tail`` is the tail it holds
+    to ``tau``), optional gauge-fixed factor, and the data table that was
+    solved. ``report`` is the last solve's; ``solves`` and ``total_iterations``
+    count the solves and their ADMM iterations over the whole trial."""
 
     g_hat: GramMatrix
     certified: bool
     target_rank: int
+    rank_tail: float
     augmentations: int
     report: SolverReport
     factor_matrix: np.ndarray | None = None
@@ -143,29 +143,13 @@ def born_table(
     """W x (V*K) data table of an ensemble: entry (w, v*K + k) is the Born
     probability p = tr(rho_w E_vk) clipped to [0, 1], or with ``shots`` the
     frequency of outcome k in ``shots`` draws from p, each (state,
-    measurement) block drawn from ``rng`` in turn, state by state.
-
-    The V*K effects are stacked once, so each state's row is one
-    ``born_probabilities`` contraction, and the shots of the whole table
-    are one multinomial call over its (W, V, K) blocks."""
+    measurement) block drawn from ``rng`` in turn, state by state. The whole
+    table is one ``born_probabilities`` contraction of the ensemble's stacks,
+    and its shots one multinomial call."""
     if shots is not None and (shots < 1 or rng is None):
         raise ValueError(f"a finite-shot table needs shots >= 1 and an rng, got {shots}, {rng}")
-    d, w_, v_, k_ = ens.dim, ens.n_states, ens.n_measurements, ens.n_outcomes
-    for v, povm in enumerate(ens.povms):
-        if len(povm) != k_:
-            raise ValueError(f"POVM {v} has {len(povm)} effects, expected {k_}")
-        for k, eff in enumerate(povm):
-            if np.shape(eff) != (d, d):
-                raise ValueError(
-                    f"effect ({v},{k}) has shape {np.shape(eff)}, expected ({d}, {d})"
-                )
-    effects = np.array([eff for povm in ens.povms for eff in povm]).reshape(v_ * k_, d, d)
-    p = np.empty((w_, v_ * k_))
-    for w, rho in enumerate(ens.states):
-        if rho.shape != (d, d):
-            raise ValueError(f"state {w} has shape {rho.shape}, expected ({d}, {d})")
-        p[w] = born_probabilities(rho, effects)
-    p = np.clip(p, 0.0, 1.0).reshape(w_, v_, k_)
+    w_, v_, k_ = ens.n_states, ens.n_measurements, ens.n_outcomes
+    p = np.clip(born_probabilities(ens.states[:, None, None], ens.povms), 0.0, 1.0)
     if shots is not None:
         p = rng.multinomial(shots, p / p.sum(axis=2, keepdims=True)) / shots
     return DataTable(
@@ -195,6 +179,7 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
         g_hat=g_hat,
         certified=certified,
         target_rank=target_rank,
+        rank_tail=rank_tail(g_hat, target_rank),
         augmentations=0,
         report=report,
         factor_matrix=factor(g_hat, target_rank) if certified else None,
@@ -238,10 +223,10 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
             cfg.d, add_state, 1 - add_state, rng, cfg.mixed_states, cfg.degeneracies
         )
         # a new state gives a row against every measurement, a measurement K columns
-        block = replace(ens, states=new.states or ens.states, povms=new.povms or ens.povms)
-        part = born_table(block, cfg.shots, rng).values
+        grown = "states" if add_state else "povms"
+        part = born_table(replace(ens, **{grown: getattr(new, grown)}), cfg.shots, rng).values
         values = np.concatenate([table.values, part], axis=1 - add_state)
-        ens = replace(ens, states=ens.states + new.states, povms=ens.povms + new.povms)
+        ens = replace(ens, **{grown: np.concatenate([getattr(ens, grown), getattr(new, grown)])})
         table = replace(
             table, values=values, n_states=ens.n_states, n_measurements=ens.n_measurements
         )
@@ -259,7 +244,6 @@ class Metrics:
     max_entry_error: float
     frobenius_error: float
     success: bool
-    rank_tail: float
     data_block_error: float
     trace_true: float
 
@@ -270,8 +254,8 @@ SUCCESS_TOL = 1e-3
 
 def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
     """Entrywise and Frobenius error of the estimate against the true Gram
-    matrix, plus rank tail, data-block reproduction error and the true
-    trace. ``success`` is max-entry error below ``SUCCESS_TOL``."""
+    matrix, plus data-block reproduction error and the true trace.
+    ``success`` is max-entry error below ``SUCCESS_TOL``."""
     g_true = gram(truth)
     split = (est.g_hat.n_states, est.g_hat.n_effects)
     true_split = (g_true.n_states, g_true.n_effects)
@@ -283,7 +267,6 @@ def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
         max_entry_error=max_err,
         frobenius_error=float(np.linalg.norm(diff)),
         success=max_err < SUCCESS_TOL,
-        rank_tail=rank_tail(est.g_hat, est.target_rank),
         data_block_error=float(np.max(np.abs(est.g_hat.data_block - g_true.data_block))),
         trace_true=float(np.trace(g_true.values)),
     )

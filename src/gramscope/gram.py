@@ -123,9 +123,10 @@ class Knowledge:
 
 def realize(ens: Ensemble) -> np.ndarray:
     """The d^2 x (W + V*K) realization P = (P_st | P_m) of an ensemble:
-    column w is vec(rho_w), column W + v*K + k is vec(E_vk)."""
-    effects = [e for povm in ens.povms for e in povm]
-    return np.column_stack([vectorize(m) for m in [*ens.states, *effects]])
+    column w is vec(rho_w), column W + v*K + k is vec(E_vk). C-contiguous:
+    numpy's P^T P of a strided P differs in the last bits."""
+    ops = np.concatenate([ens.states, ens.povms.reshape(-1, ens.dim, ens.dim)])
+    return np.ascontiguousarray(vectorize(ops).T)
 
 
 def gram(ens: Ensemble) -> GramMatrix:

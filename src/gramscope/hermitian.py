@@ -103,30 +103,28 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def hermiticity_residual(h: np.ndarray) -> float:
-    """Max-entry deviation of ``h`` from its conjugate transpose."""
-    return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+def hermiticity_residual(h: np.ndarray) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack, its largest |entry| of H - H^dag."""
+    return np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
 
 
 def vectorize(h: np.ndarray) -> np.ndarray:
-    """Expand a d x d Hermitian matrix into its real coefficients tr(B_a H)
-    in ``herm_basis(d)``.
+    """Expand each d x d Hermitian matrix of a (..., d, d) stack into its
+    real coefficients tr(B_a H) in ``herm_basis(d)``, of shape (..., d^2).
 
     The map is a linear isometry from (Herm, Hilbert-Schmidt) to
     (R^{d^2}, Euclidean): dot products of coefficient vectors equal
-    trace inner products.
-
-    Raises:
-        ValueError: on a non-square matrix or symmetry residual > 1e-8.
+    trace inner products. Raises ValueError on non-square matrices or a
+    symmetry residual > 1e-8.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"matrix shape {h.shape} is not square")
-    res = hermiticity_residual(h)
-    if res > HERMITICITY_TOL:
+    res = hermiticity_residual(h).max(initial=0.0)
+    if not res <= HERMITICITY_TOL:  # NaN too
         raise ValueError(f"input is not Hermitian (residual {res:.3e})")
     # tr(B H) with B Hermitian: sum over conj(B) * H.
-    return np.einsum("aij,ij->a", herm_basis(h.shape[0]).conj(), h).real
+    return np.einsum("aij,...ij->...a", herm_basis(h.shape[-1]).conj(), h).real
 
 
 #: The partial step is tried only while the warm basis has at most this

@@ -2,8 +2,9 @@
 
 States are drawn uniformly (Haar) from the pure states; measurements are
 obtained by Haar-rotating a computational-basis projective measurement.
-Data tables hold outcome probabilities (asymptotic) or frequencies (finite
-shot count); ``estimator.born_table`` builds them. A record's annotations
+An ``Ensemble`` holds them as checked stacks. Data tables hold outcome
+probabilities (asymptotic) or frequencies (finite shot count);
+``estimator.born_table`` builds them. A record's annotations
 are its schema: ``check_types`` is the one rule of what a field may hold,
 ``from_json`` reads a record, nested ones too, and ``dump_json`` writes one.
 """
@@ -15,7 +16,7 @@ import json
 import math
 import numbers
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,47 @@ from .hermitian import hermiticity_residual
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ground truth of a synthetic experiment: W states and V POVMs of K outcomes."""
+    """W states and V projective K-outcome measurements on C^d, as read-only complex
+    copies: stacks ``states`` (W, d, d) and ``povms`` (V, K, d, d), an empty input the
+    empty stack. Checked when built, rule by rule on whole stacks, within ``ENSEMBLE_TOL``:
+    states Hermitian, PSD, trace 1; effects Hermitian, PSD; POVMs projective (tr(E_k E_q)
+    = delta_kq tr(E_k)) summing to I. Errors name the first bad state, effect or POVM."""
 
     dim: int
-    states: list = field(default_factory=list)
-    povms: list = field(default_factory=list)
+    states: np.ndarray = ()
+    povms: np.ndarray = ()
+
+    def __post_init__(self):
+        check_types(self)
+        d = self.dim
+        for name, ndim in (("states", 3), ("povms", 4)):
+            try:
+                stack = np.array(getattr(self, name), dtype=complex)
+            except (TypeError, ValueError):  # ragged, or an entry that is no number
+                stack = None
+            if stack is not None and stack.shape == (0,):
+                stack = stack.reshape((0,) * (ndim - 2) + (d, d))
+            if stack is None or stack.ndim != ndim or stack.shape[-2:] != (d, d):
+                raise ValueError(_misshapen(self.states, self.povms, d))
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
+        states, povms = self.states, self.povms
+        lam, tr = np.linalg.eigvalsh(states).min(axis=-1), np.trace(states, axis1=1, axis2=2).real
+        own = np.eye(povms.shape[1]) * np.trace(povms, axis1=2, axis2=3).real[..., None]
+        overlap = np.einsum("vkij,vqji->vkq", povms, povms).real - own
+        total = np.abs(povms.sum(axis=1) - np.eye(d)).max(axis=(1, 2))
+        for ok, message in (  # a NaN entry breaks every rule it enters
+            (hermiticity_residual(states) <= ENSEMBLE_TOL, "state {} is not Hermitian"),
+            (lam >= -ENSEMBLE_TOL, lambda w: f"state {w} is not PSD (lambda_min={lam[w]:.3e})"),
+            (np.abs(tr - 1.0) <= ENSEMBLE_TOL, lambda w: f"state {w} has trace {tr[w]}"),
+            (hermiticity_residual(povms) <= ENSEMBLE_TOL, "effect ({},{}) is not Hermitian"),
+            (np.linalg.eigvalsh(povms).min(axis=-1) >= -ENSEMBLE_TOL, "effect ({},{}) is not PSD"),
+            (np.abs(overlap) <= 1e-9, "POVM {} effects ({},{}) are not orthogonal projectors"),
+            (total <= ENSEMBLE_TOL, "POVM {} does not sum to the identity"),
+        ):
+            if not ok.all():
+                at = np.argwhere(~ok)[0]
+                raise ValueError(message(*at) if callable(message) else message.format(*at))
 
     @property
     def n_states(self) -> int:
@@ -41,12 +78,26 @@ class Ensemble:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.povms[0]) if self.povms else 0
+        return self.povms.shape[1]
+
+
+def _misshapen(states, povms, d: int) -> str:
+    """The error naming the first misshapen state, POVM or effect of input that did not stack."""
+    for w, rho in enumerate(states):
+        if np.shape(rho) != (d, d):
+            return f"state {w} has shape {np.shape(rho)}, expected ({d}, {d})"
+    for v, povm in enumerate(povms):
+        if len(povm) != len(povms[0]):
+            return f"POVM {v} has {len(povm)} effects, expected {len(povms[0])}"
+        for k, eff in enumerate(povm):
+            if np.shape(eff) != (d, d):
+                return f"effect ({v},{k}) has shape {np.shape(eff)}, expected ({d}, {d})"
+    return f"states and povms must be complex stacks of shape (W, {d}, {d}) and (V, K, {d}, {d})"
 
 
 #: Largest |sum - 1| of the outcome frequencies of one (state, measurement).
 ROW_SUM_TOL = 1e-9
-#: Largest violation of a state or POVM invariant that ``validate_ensemble`` accepts.
+#: Largest violation of a state or POVM invariant that an ``Ensemble`` accepts.
 ENSEMBLE_TOL = 1e-10
 
 
@@ -93,37 +144,6 @@ class DataTable:
         sums = vals.reshape(self.n_states, self.n_measurements, self.n_outcomes).sum(axis=2)
         if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
             raise ValueError("per-measurement outcome frequencies do not sum to 1")
-
-
-def validate_ensemble(ens: Ensemble) -> None:
-    """Check state/POVM invariants, each POVM a projective measurement
-    (tr(E_k E_q) = delta_kq tr(E_k), any degeneracy pattern); raise
-    ValueError on the first violation."""
-    d = ens.dim
-    for w, rho in enumerate(ens.states):
-        if rho.shape != (d, d):
-            raise ValueError(f"state {w} has shape {rho.shape}, expected ({d}, {d})")
-        if hermiticity_residual(rho) > ENSEMBLE_TOL:
-            raise ValueError(f"state {w} is not Hermitian")
-        lam = np.linalg.eigvalsh(rho)
-        if lam.min() < -ENSEMBLE_TOL:
-            raise ValueError(f"state {w} is not PSD (lambda_min={lam.min():.3e})")
-        if abs(np.trace(rho).real - 1.0) > ENSEMBLE_TOL:
-            raise ValueError(f"state {w} has trace {np.trace(rho).real}")
-    for v, povm in enumerate(ens.povms):
-        total = np.zeros((d, d), dtype=complex)
-        for k, eff in enumerate(povm):
-            if hermiticity_residual(eff) > ENSEMBLE_TOL:
-                raise ValueError(f"effect ({v},{k}) is not Hermitian")
-            if np.linalg.eigvalsh(eff).min() < -ENSEMBLE_TOL:
-                raise ValueError(f"effect ({v},{k}) is not PSD")
-            total += eff
-            for q, eq in enumerate(povm):
-                overlap = np.trace(eff @ eq).real
-                if abs(overlap - (np.trace(eff).real if k == q else 0.0)) > 1e-9:
-                    raise ValueError(f"POVM {v} effects ({k},{q}) are not orthogonal projectors")
-        if np.max(np.abs(total - np.eye(d))) > ENSEMBLE_TOL:
-            raise ValueError(f"POVM {v} does not sum to the identity")
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,17 +230,15 @@ def sample_ensemble(
     degeneracies: list[int] | None = None,
 ) -> Ensemble:
     """Sample a full ensemble of Haar states and Haar-rotated projective POVMs."""
-    states = [
-        sample_mixed_state(d, rng) if mixed else sample_pure_state(d, rng)
-        for _ in range(n_states)
-    ]
+    sample_state = sample_mixed_state if mixed else sample_pure_state
+    states = [sample_state(d, rng) for _ in range(n_states)]
     povms = [sample_projective_measurement(d, rng, degeneracies) for _ in range(n_measurements)]
     return Ensemble(dim=d, states=states, povms=povms)
 
 
 def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """Born probabilities tr(rho E) of one state for each effect E of a
-    stack of shape (..., d, d), one contraction for the whole stack."""
+    """Born probabilities tr(rho E) of a stack of states times a stack of
+    effects in one contraction: (W, 1, 1, d, d) and (V, K, d, d) give (W, V, K)."""
     return np.trace(rho @ effects, axis1=-2, axis2=-1).real
 
 

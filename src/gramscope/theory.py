@@ -48,10 +48,9 @@ def check_norm_bound(trials: int, rng: np.random.Generator) -> dict:
                 "opnorm": opnorm,
                 "bound": r_qm(w, v, d),
             }
-        for rho in ens.states:
-            hs = float(np.linalg.norm(rho))
-            if not (1.0 / np.sqrt(d) - 1e-9 <= hs <= 1.0 + 1e-9):
-                return {"ok": False, "trial": t, "state_norm": hs, "d": d}
+        hs = np.linalg.norm(ens.states, axis=(1, 2))
+        if (bad := (hs < 1.0 / np.sqrt(d) - 1e-9) | (hs > 1.0 + 1e-9)).any():
+            return {"ok": False, "trial": t, "state_norm": float(hs[bad][0]), "d": d}
     return {"ok": True, "trials": trials, "worst_slack": worst}
 
 

@@ -9,7 +9,14 @@ import pytest
 
 from gramscope.batch import BatchSpec, trial_seed
 from gramscope.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from gramscope.estimator import MAX_D, GramEstimate, Metrics, TrialConfig, estimate
+from gramscope.estimator import (
+    MAX_D,
+    GramEstimate,
+    Metrics,
+    SolveConfig,
+    TrialConfig,
+    estimate,
+)
 from gramscope.solver import SolverReport
 from gramscope.synth import from_json
 
@@ -153,8 +160,22 @@ class TestEstimate:
         assert result["total_iterations"] == result["iterations"]
         assert (out / "g_hat.json").exists() and not (out / "ground_truth.json").exists()
         assert (out / "table.json").read_bytes() == (data / "table.json").read_bytes()
-        # a table has no ground truth
+        # a table has no ground truth, but the tail that decided its
+        # certificate is recorded (this converged solve is not certified)
         assert result["augmentations"] == 0 and result["success"] is None
+        assert isinstance(result["rank_tail"], float) and result["converged"]
+        assert result["certified"] == (result["rank_tail"] <= SolveConfig(d=2).tau)
+
+    def test_recorded_certificate_carries_its_tail(self, tmp_path):
+        synth_cfg = write_json(tmp_path / "s.json", {**SYNTH_CFG, "n_states": 16, "n_measurements": 16})
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == EXIT_OK
+        est_cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data)})
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        result = json.loads((tmp_path / "out" / "estimate.json").read_text())
+        assert result["certified"] is True and result["target_rank"] == 4
+        assert isinstance(result["rank_tail"], float)
+        assert result["rank_tail"] <= SolveConfig(d=2).tau
 
     def test_record_is_the_scalar_fields(self, tmp_path):
         # estimate.json is flat: the scalar fields of the estimate, of its

@@ -324,7 +324,7 @@ class TestEstimateEndToEnd:
 
         def never_certified(table, *args, **kwargs):
             return GramEstimate(
-                g_hat=None, certified=False, target_rank=0, augmentations=0,
+                g_hat=None, certified=False, target_rank=0, rank_tail=1.0, augmentations=0,
                 report=report, table=table,
             )
 
@@ -345,17 +345,19 @@ class TestEstimateEndToEnd:
                 new = sample_ensemble(2, 1, 0, rng, mixed=mixed).states
                 rows = born_table(replace(ref, states=new), shots, rng).values
                 values = np.vstack([values, rows])
-                ref = replace(ref, states=ref.states + new)
+                ref = replace(ref, states=np.concatenate([ref.states, new]))
             else:
                 new = sample_ensemble(2, 0, 1, rng).povms
                 cols = born_table(replace(ref, povms=new), shots, rng).values
                 values = np.hstack([values, cols])
-                ref = replace(ref, povms=ref.povms + new)
+                ref = replace(ref, povms=np.concatenate([ref.povms, new]))
             add_state = not add_state
         assert np.array_equal(est.table.values, values)
         assert (ens.n_states, ens.n_measurements) == (ref.n_states, ref.n_measurements)
-        for ours, theirs in zip(ens.states + ens.povms, ref.states + ref.povms):
-            assert np.array_equal(np.asarray(ours), np.asarray(theirs))
+        assert np.array_equal(ens.states, ref.states)
+        assert np.array_equal(ens.povms, ref.povms)
+        # the grown ensemble is a checked record that owns read-only stacks
+        assert not (ens.states.flags.writeable or ens.povms.flags.writeable)
 
 
 class TestEvaluate:
@@ -407,7 +409,7 @@ class TestEvaluate:
         ens = sample_ensemble(2, 3, 3, np.random.default_rng(0))
         g = gram(ens)
         est = GramEstimate(
-            g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
+            g_hat=g, certified=True, target_rank=4, rank_tail=0.0, augmentations=0, report=None
         )
         m = evaluate(est, ens)
         assert m.max_entry_error == 0.0
@@ -421,7 +423,7 @@ class TestEvaluate:
             g = gram(sample_ensemble(2, *est_wv, np.random.default_rng(1)))
             truth = sample_ensemble(2, *truth_wv, np.random.default_rng(2))
             est = GramEstimate(
-                g_hat=g, certified=True, target_rank=4, augmentations=0, report=None
+                g_hat=g, certified=True, target_rank=4, rank_tail=0.0, augmentations=0, report=None
             )
             with pytest.raises(ValueError, match=r"blocks \(W, V\*K\) are"):
                 evaluate(est, truth)

@@ -88,11 +88,24 @@ class TestVectorize:
             a = random_hermitian(4, rng)
             assert np.linalg.norm(vectorize(a)) == pytest.approx(np.linalg.norm(a), abs=1e-10)
 
+    def test_stack_is_vectorized_matrix_by_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([[random_hermitian(3, rng) for _ in range(4)] for _ in range(2)])
+        expected = [[vectorize(h) for h in row] for row in stack]
+        assert vectorize(stack).shape == (2, 4, 9)
+        assert vectorize(stack).tobytes() == np.array(expected).tobytes()
+        with pytest.raises(ValueError, match="Hermitian"):
+            vectorize(np.array([np.eye(2), [[0, 1], [0, 0]]]))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             vectorize(np.array([[0, 1], [0, 0]], dtype=complex))
+        # a NaN residual fails the check rather than pass it
+        with pytest.raises(ValueError, match=r"not Hermitian \(residual nan\)"):
+            vectorize(np.full((2, 2), np.nan))
 
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    # a stack of square matrices is vectorized; (2, 2, 3) is a stack of non-square ones
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 3)])
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="not square"):
             vectorize(np.zeros(shape))

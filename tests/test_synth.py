@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gramscope.estimator
-from gramscope.estimator import born_table
+from gramscope.estimator import TrialConfig, born_table, estimate
+from gramscope.gram import realize
 from gramscope.synth import (
     DataTable,
     Ensemble,
@@ -18,7 +19,6 @@ from gramscope.synth import (
     sample_mixed_state,
     sample_projective_measurement,
     sample_pure_state,
-    validate_ensemble,
 )
 
 
@@ -141,19 +141,19 @@ class TestBornTable:
         assert table.values.tobytes() == np.array(expected).reshape(p.shape).tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_one_contraction_per_state(self, monkeypatch):
+    def test_one_contraction_per_table(self, monkeypatch):
         # the tracer of the benchmark wraps this name in gramscope.estimator
         calls = []
         contract = gramscope.estimator.born_probabilities
 
         def counted(rho, effects):
-            calls.append(rho)
+            calls.append((rho.shape, effects.shape))
             return contract(rho, effects)
 
         monkeypatch.setattr(gramscope.estimator, "born_probabilities", counted)
         ens = sample_ensemble(3, 5, 4, np.random.default_rng(3))
         born_table(ens, 100, np.random.default_rng(4))
-        assert len(calls) == ens.n_states
+        assert calls == [((5, 1, 1, 3, 3), (4, 3, 3, 3))]
 
     def test_rejects_misshapen_povm(self):
         # POVMs of 2, 1 and 3 effects would stack to V*K = 6 effects
@@ -166,13 +166,13 @@ class TestBornTable:
         for d, povms, message in cases:
             ens = sample_ensemble(d, 1, 1, np.random.default_rng(0))
             with pytest.raises(ValueError, match=message):
-                born_table(type(ens)(dim=d, states=ens.states, povms=povms))
+                Ensemble(dim=d, states=ens.states, povms=povms)
 
     def test_state_norm_window(self):
         rng = np.random.default_rng(8)
         for d in (2, 3, 4):
             ens = sample_ensemble(d, 5, 2, rng, mixed=True)
-            validate_ensemble(ens)
+            Ensemble(dim=d, states=ens.states, povms=ens.povms)
             for rho in ens.states:
                 hs = np.linalg.norm(rho)
                 assert 1 / np.sqrt(d) - 1e-9 <= hs <= 1 + 1e-9
@@ -180,11 +180,12 @@ class TestBornTable:
     def test_every_povm_must_be_projective(self):
         # a degenerate pattern is projective; a 50/50 mixture of two
         # projective measurements is a valid POVM but not a projective one
-        validate_ensemble(sample_ensemble(3, 2, 2, np.random.default_rng(5), degeneracies=[2, 1]))
+        ens = sample_ensemble(3, 2, 2, np.random.default_rng(5), degeneracies=[2, 1])
+        Ensemble(dim=3, states=ens.states, povms=ens.povms)
         ens = sample_ensemble(2, 2, 2, np.random.default_rng(6))
         mix = [(a + b) / 2 for a, b in zip(*ens.povms)]
         with pytest.raises(ValueError, match="not orthogonal projectors"):
-            validate_ensemble(Ensemble(dim=2, states=ens.states, povms=[mix]))
+            Ensemble(dim=2, states=ens.states, povms=[mix])
 
     def test_povm_norm_budget(self):
         rng = np.random.default_rng(9)
@@ -192,6 +193,85 @@ class TestBornTable:
             povm = sample_projective_measurement(d, rng)
             budget = sum(np.linalg.norm(e) ** 2 for e in povm)
             assert budget == pytest.approx(d, abs=1e-9)
+
+
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+KET1 = np.diag([0.0, 1.0]).astype(complex)
+PLUS = 0.5 * np.ones((2, 2), dtype=complex)
+
+
+class TestEnsemble:
+    def test_holds_read_only_stacks(self):
+        ens = sample_ensemble(3, 4, 2, np.random.default_rng(0), degeneracies=[2, 1])
+        assert ens.states.shape == (4, 3, 3) and ens.povms.shape == (2, 2, 3, 3)
+        assert ens.states.dtype == ens.povms.dtype == complex
+        assert (ens.n_states, ens.n_measurements, ens.n_outcomes) == (4, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            ens.states[0][0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            ens.povms[0, 0][:] = np.eye(3)
+        with pytest.raises(AttributeError):
+            ens.states.append(np.zeros((3, 3)))
+        _, truth = estimate(TrialConfig(d=2, n_states=5, n_measurements=5, max_augmentations=0))
+        with pytest.raises(ValueError, match="read-only"):
+            truth.states[0][:] = np.eye(2)
+
+    def test_owns_its_arrays(self):
+        # the caller's arrays stay writable, and later writes to them do not
+        # reach the record
+        states, povm = np.array([KET0, PLUS]), [KET0.copy(), KET1.copy()]
+        ens = Ensemble(dim=2, states=states, povms=[povm])
+        states[0] = KET1
+        povm[0][:] = 0.0
+        assert np.array_equal(ens.states, [KET0, PLUS])
+        assert np.array_equal(ens.povms, [[KET0, KET1]])
+        before = born_table(ens).values
+        states[1] = KET0
+        assert np.array_equal(born_table(ens).values, before)
+
+    def test_empty_stacks(self):
+        for ens in (Ensemble(dim=2), Ensemble(dim=2, states=[], povms=[])):
+            assert ens.states.shape == (0, 2, 2) and ens.povms.shape == (0, 0, 2, 2)
+            assert (ens.n_states, ens.n_measurements, ens.n_outcomes) == (0, 0, 0)
+        rows = sample_ensemble(2, 1, 0, np.random.default_rng(0))
+        cols = sample_ensemble(2, 0, 1, np.random.default_rng(0))
+        assert rows.states.shape == (1, 2, 2) and rows.povms.shape == (0, 0, 2, 2)
+        assert cols.states.shape == (0, 2, 2) and cols.povms.shape == (1, 2, 2, 2)
+        assert realize(cols).shape == (4, 2)
+        one_by_one = Ensemble(dim=2, states=rows.states, povms=cols.povms)
+        assert born_table(one_by_one).values.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "states, povms, message",
+        [
+            # a stack is never reshaped: one 4 x 4 state is not four 2 x 2 ones
+            ([np.eye(4) / 4], [[KET0, KET1]], r"^state 0 has shape \(4, 4\), expected \(2, 2\)$"),
+            (np.eye(2) / 2, [[KET0, KET1]], r"^state 0 has shape \(2,\), expected \(2, 2\)$"),
+            ([KET0, np.eye(3) / 3], [[KET0, KET1]], r"^state 1 has shape \(3, 3\)"),
+            ([KET0], [KET0, KET1], r"^effect \(0,0\) has shape \(2,\), expected \(2, 2\)$"),
+            ([KET0], [[KET0, KET1], [np.eye(2)]], r"^POVM 1 has 1 effects, expected 2$"),
+            ([KET0, [[0.5, 0.5], [0.0, 0.5]]], [[KET0, KET1]], r"^state 1 is not Hermitian$"),
+            ([KET0, np.diag([1.5, -0.5])], [[KET0, KET1]], r"^state 1 is not PSD \(lambda_min=-5.000e-01\)$"),
+            ([np.eye(2)], [[KET0, KET1]], r"^state 0 has trace 2.0$"),
+            ([np.full((2, 2), np.nan)], [[KET0, KET1]], r"^state 0 is not Hermitian$"),
+            # the rules in order, each naming its first bad state
+            ([KET0, np.eye(2), [[1, 1], [0, 0]]], [[KET0, KET1]], r"^state 2 is not Hermitian$"),
+            ([KET0, np.eye(2), 2 * KET1], [[KET0, KET1]], r"^state 1 has trace 2.0$"),
+            ([KET0], [[KET0, KET1], [[[1, 1], [0, 0]], KET1]], r"^effect \(1,0\) is not Hermitian$"),
+            ([KET0], [[KET0, KET1], [np.diag([2.0, -1.0]), KET1]], r"^effect \(1,0\) is not PSD$"),
+            ([KET0], [[2 * KET0, KET1]], r"^POVM 0 effects \(0,0\) are not orthogonal projectors$"),
+            ([KET0], [[KET0, PLUS]], r"^POVM 0 effects \(0,1\) are not orthogonal projectors$"),
+            ([KET0], [[KET0, KET1], [KET0, 0 * KET1]], r"^POVM 1 does not sum to the identity$"),
+            ([[["a", 0], [0, 1]]], [[KET0, KET1]], r"^states and povms must be complex stacks"),
+        ],
+    )
+    def test_rejects_bad_ensembles(self, states, povms, message):
+        with pytest.raises(ValueError, match=message):
+            Ensemble(dim=2, states=states, povms=povms)
+
+    def test_dimension_follows_the_type_rule(self):
+        with pytest.raises(ValueError, match=r"^dim must be an integer, got 2.0$"):
+            Ensemble(dim=2.0)
 
 
 class TestFiniteShotTable:
@@ -241,7 +321,7 @@ class TestFiniteShotTable:
         ens = sample_ensemble(2, 1, 1, np.random.default_rng(0))
         for rho in (np.eye(3) / 3, np.ones((2, 3)) / 2):
             with pytest.raises(ValueError, match="shape"):
-                born_table(type(ens)(dim=2, states=[rho], povms=ens.povms))
+                Ensemble(dim=2, states=[rho], povms=ens.povms)
 
 
 #: The type rule's message on a table cell that is not a finite real number.
