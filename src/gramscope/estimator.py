@@ -59,14 +59,18 @@ class SolveConfig:
     without it they are non-degenerate, with K = d outcomes. A nonzero
     ``epsilon`` widens the data-block pins into intervals of that
     half-width, and ``tau`` bounds the eigenvalue tail that the rank
-    certificate accepts. Every check on these settings is made here, once,
-    for each config that extends this one.
+    certificate accepts. ``pure_states`` declares every state pure, so that
+    each diagonal entry of the states' block is 1; on exact data (``epsilon``
+    0) the certificate then also holds their largest distance from 1 to
+    ``tau``. Every check on these settings is made here, once, for each
+    config that extends this one.
     """
 
     d: int
     degeneracies: list[int] | None = None
     epsilon: float = 0.0
     tau: float = 1e-4
+    pure_states: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -92,7 +96,8 @@ class TrialConfig(SolveConfig):
     value draws the outcome frequencies of that many shots, at most 2**63 - 1
     (numpy's multinomial takes a C long). ``epsilon`` applies with or without
     shots. Every state, the added ones too, is mixed when ``mixed_states`` is
-    set. ``gramscope synth`` writes the ensemble and table a trial starts from.
+    set, which needs ``pure_states`` false. ``gramscope synth`` writes the
+    ensemble and table a trial starts from.
     """
 
     n_states: int
@@ -111,14 +116,18 @@ class TrialConfig(SolveConfig):
             raise ValueError("max_augmentations and seed must be >= 0")
         if self.shots is not None and not 1 <= self.shots < 2**63:
             raise ValueError(f"shots must be in [1, 2**63 - 1] when finite, got {self.shots}")
+        if self.mixed_states and self.pure_states:
+            raise ValueError("mixed_states needs pure_states false")
 
 
 @dataclass
 class GramEstimate:
     """Solver output with rank certificate (``rank_tail`` is the tail it holds
     to ``tau``), optional gauge-fixed factor, and the data table that was
-    solved. ``report`` is the last solve's; ``solves`` and ``total_iterations``
-    count the solves and their ADMM iterations over the whole trial."""
+    solved. ``purity_residual`` is max_w |G_ww - 1| over the states when they
+    are declared pure, else None. ``report`` is the last solve's; ``solves``
+    and ``total_iterations`` count the solves and their ADMM iterations over
+    the whole trial."""
 
     g_hat: GramMatrix
     certified: bool
@@ -126,6 +135,7 @@ class GramEstimate:
     rank_tail: float
     augmentations: int
     report: SolverReport
+    purity_residual: float | None = None
     factor_matrix: np.ndarray | None = None
     table: DataTable | None = None
     solves: int = 0
@@ -164,8 +174,9 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     ``cfg.epsilon`` when it is nonzero), trace-minimizes the completion in
     the spectral box of radius W + V*d, and certifies the estimate when the
     solve converged and its |eigenvalue| tail beyond the numerical rank of
-    the table is at most ``cfg.tau``. A certified estimate carries its
-    rank-r factor. A ``TrialConfig`` is a ``SolveConfig``, so
+    the table is at most ``cfg.tau``; with pure states on exact data its
+    purity residual must be at most ``cfg.tau`` too. A certified estimate
+    carries its rank-r factor. A ``TrialConfig`` is a ``SolveConfig``, so
     ``solve_table(est.table, cfg)`` re-runs a trial's last solve.
     """
     kn = knowledge_projective(table, cfg.d, cfg.degeneracies)
@@ -174,7 +185,14 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     target_rank = numerical_rank(table.values)
     prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, cfg.d))
     g_hat, report = solve_trace_min(prob, cfg.solver)
-    certified = rank_certificate(g_hat, target_rank, cfg.tau) and report.converged
+    purity = None
+    if cfg.pure_states:
+        purity = float(np.abs(g_hat.values.diagonal()[: g_hat.n_states] - 1.0).max(initial=0.0))
+    certified = (
+        rank_certificate(g_hat, target_rank, cfg.tau)
+        and report.converged
+        and (purity is None or cfg.epsilon > 0 or purity <= cfg.tau)
+    )
     return GramEstimate(
         g_hat=g_hat,
         certified=certified,
@@ -182,6 +200,7 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
         rank_tail=rank_tail(g_hat, target_rank),
         augmentations=0,
         report=report,
+        purity_residual=purity,
         factor_matrix=factor(g_hat, target_rank) if certified else None,
         table=table,
         solves=1,

@@ -127,16 +127,10 @@ def vectorize(h: np.ndarray) -> np.ndarray:
     return np.einsum("aij,...ij->...a", herm_basis(h.shape[-1]).conj(), h).real
 
 
-#: The partial step is tried only while the warm basis has at most this
-#: fraction of n columns; beyond it a dense eigh is about as cheap.
+#: The partial step is tried only while the warm basis, the positive
+#: eigenvectors or Ritz vectors of the last step, has at most this fraction
+#: of n columns; beyond it a dense eigh is about as cheap.
 PARTIAL_FRACTION = 0.25
-#: Eigenvectors a step keeps in the warm basis beyond the positive ones.
-#: At 0, on the 24 instances of the benchmark's d3_large_solve pool:
-#: iterations 7,447 -> 7,150, but full eigh 2,349 -> 2,577 and failed
-#: partial steps 916 -> 1,174; solve time 15.3-22.1 s against 15.7-22.5 s
-#: in 6 alternating repeats (one BLAS thread, 2-core Xeon), no difference
-#: outside the spread.
-PARTIAL_BUFFER = 4
 
 
 @dataclass
@@ -145,8 +139,9 @@ class WarmSpectrum:
 
     ``tol`` bounds the Frobenius error a partial step may make; the caller
     sets it before each call. ``basis`` (orthonormal columns) is the
-    subspace the next partial step starts from; every full step and every
-    accepted partial step replaces it. ``partial_steps`` counts the calls
+    subspace the next partial step starts from: the positive eigenvectors
+    of the last full step or the positive Ritz vectors of the last accepted
+    partial step, which replace it. ``partial_steps`` counts the calls
     that returned a certified partial projection, ``failed_partial_steps``
     the calls whose partial attempt was not certified and fell back to the
     full step.
@@ -176,8 +171,9 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     sqrt(2)||R||_F from A. When PAP is negative definite on the complement
     of Q+ (Cholesky of Q+ Q+^T - PAP succeeds), the projection of A' is
     Q+ clip(T+) Q+^T, so by non-expansiveness its distance to the
-    projection of A is at most sqrt(2)||R||_F. An accepted step keeps Q+
-    and ``PARTIAL_BUFFER`` more Ritz vectors as the next basis.
+    projection of A is at most sqrt(2)||R||_F. An accepted step keeps
+    exactly Q+ as the next basis, so the next step works in a subspace of
+    twice as many dimensions as there were positive Ritz values.
     """
     q = warm.basis
     aq = a @ q
@@ -185,22 +181,21 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     ax = a @ x
     w, s = _eigh(x.T @ ax)
     first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
-    keep = max(first - PARTIAL_BUFFER, 0)
-    q = x @ s[:, keep:]
-    pos, tpos = q[:, first - keep :], w[first:]
-    res = ax @ s[:, first:] - pos * tpos
+    s, tpos = s[:, first:], w[first:]
+    q = x @ s
+    res = ax @ s - q * tpos
     if np.sqrt(2.0 * np.vdot(res, res)) > warm.tol:
         return None
     # A Q+ = Q+ T+ + R with Q+^T R = 0 turns Q+ Q+^T - PAP into
     # Q+ (I + T+) Q+^T + R Q+^T + Q+ R^T - A
-    comp = np.hstack((pos * (1.0 + tpos) + res, pos)) @ np.hstack((pos, res)).T
+    comp = np.hstack((q * (1.0 + tpos) + res, q)) @ np.hstack((q, res)).T
     comp -= a
     try:
         np.linalg.cholesky(comp)
     except np.linalg.LinAlgError:
         return None
     warm.basis = q
-    return _outer_clipped(pos, tpos, hi)
+    return _outer_clipped(q, tpos, hi)
 
 
 def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) -> np.ndarray:
@@ -221,8 +216,7 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     one Rayleigh-Ritz step from that subspace and returned only when its
     Frobenius error is certified below ``warm.tol``. Otherwise, and
     without ``warm``, the result is the exact projection; that full step
-    always keeps the eigenvectors above 0, plus ``PARTIAL_BUFFER`` more,
-    as the next warm basis.
+    always keeps exactly the eigenvectors above 0 as the next warm basis.
 
     Both steps call numpy's LAPACK eigensolver directly (``_eigh``), which
     gives exactly ``numpy.linalg.eigh``'s result without its per-call
@@ -244,5 +238,5 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     w, u = _eigh(a)
     first = int(w.searchsorted(0.0, "right"))  # first positive eigenvalue
     if warm is not None:
-        warm.basis = u[:, max(first - PARTIAL_BUFFER, 0) :].copy()
+        warm.basis = u[:, first:].copy()
     return _outer_clipped(u[:, first:], w[first:], hi)

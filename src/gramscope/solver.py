@@ -65,17 +65,20 @@ ANDERSON_MEMORY = 20
 ANDERSON_RIDGE = 1e-8
 #: Error a partial spectral projection may make, as a fraction of the
 #: fixed-point residual r at the previous point. It is the error budget
-#: of each inexact step, below the bound 1 of inexact ADMM, not a stopping
-#: rule. Swept over {0.1, 0.2, 0.3, 0.5} on instances 0-3 and 6-9 of the
-#: benchmark's d=3 (30,50) pool (n=180, one BLAS thread): full
-#: eigendecompositions went 841 / 778 / 686 / 618, failed partial attempts
-#: 386 / 323 / 231 / 163, iterations 2365 / 2373 / 2365 / 2399 and time
-#: 5.6 / 5.5 / 5.5 / 4.9 s (medians of 5 interleaved repeats, whose spread
-#: was up to 1.6 s). 0.3 was chosen as the smallest value past the knee
-#: when a partial step could take three Rayleigh-Ritz rounds; with one
-#: round the counts fall without a knee up to 0.5, and the lower time at
-#: 0.5 is inside the spread, so 0.3 stays. At d=2 no partial step runs.
-PARTIAL_TOL = 0.3
+#: of each inexact step, below the bound 1 of inexact ADMM (Eckstein &
+#: Silva 2013, "A practical relative error criterion for augmented
+#: Lagrangians"), not a stopping rule. Swept with warm bases of the
+#: positive eigen- or Ritz vectors only, over the 24 instances of the
+#: benchmark's d3_large_solve pool (n=180, one BLAS thread), as
+#: iterations / full eigendecompositions / failed partial attempts:
+#:   0.3   7,150 / 2,577 / 1,174
+#:   0.5   7,166 / 2,313 / 910
+#:   0.7   7,262 / 2,237 / 834
+#: against 7,447 / 2,349 / 916 at 0.3 with 4 more Ritz vectors kept in
+#: each basis. 0.5 keeps the iterations of 0.3 and saves a tenth of the
+#: full steps; past it the full steps fall more slowly than the
+#: iterations rise. At d=2 no partial step runs.
+PARTIAL_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -230,15 +233,17 @@ def solve_trace_min(
     ``clip_spectrum``, and only the upper triangle of its result is read
     back. Each iteration evaluates F at one point, so an iteration is
     exactly one ``clip_spectrum`` call: a full eigendecomposition, or a
-    certified partial one (``SolverReport.partial_steps`` counts these,
+    certified partial one from the positive eigen- or Ritz vectors of the
+    last step (``SolverReport.partial_steps`` counts these,
     ``failed_partial_steps`` the attempts that were not certified and fell
     back to the full eigendecomposition) whose Frobenius error is at most
-    ``PARTIAL_TOL * r`` of the previous point, the relative-error rule of
-    inexact ADMM. The next point is the type-II Anderson extrapolation of
-    the last ``ANDERSON_MEMORY`` steps, whose coefficients come from one
-    LAPACK solve called directly (``hermitian._solve``: the result of
-    ``numpy.linalg.solve`` without its per-call wrapper, which takes about
-    half of that call's time at memory 20); when an extrapolated point has a larger
+    ``PARTIAL_TOL * r``, half the residual r of the previous point: the
+    relative-error rule of inexact ADMM. The next point is the type-II
+    Anderson extrapolation of the last ``ANDERSON_MEMORY`` steps, whose
+    coefficients come from one LAPACK solve called directly
+    (``hermitian._solve``: the result of ``numpy.linalg.solve`` without its
+    per-call wrapper, which takes about half of that call's time at memory
+    20); when an extrapolated point has a larger
     residual r than the point before it, the solver takes the plain step F
     from that earlier point instead and drops the history
     (``SolverReport.rejected_steps`` counts these). Every

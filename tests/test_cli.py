@@ -89,6 +89,18 @@ class TestSynth:
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    def test_mixed_states_need_pure_states_false(self, tmp_path, capsys):
+        # pure states are the default declaration, which mixed ones contradict
+        mixed = {**SYNTH_CFG, "mixed_states": True}
+        for command in ("synth", "estimate"):
+            cfg = write_json(tmp_path / "cfg.json", mixed)
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            assert "mixed_states needs pure_states false" in capsys.readouterr().err
+            assert not out.exists()
+            cfg = write_json(tmp_path / "cfg.json", {**mixed, "pure_states": False})
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+
     def test_table_is_the_first_table_of_the_trial(self, tmp_path):
         # one trial config drives both commands: synth writes the table the
         # trial starts from, byte for byte

@@ -11,6 +11,7 @@ from gramscope.estimator import (
     TrialConfig,
     born_table,
     estimate,
+    estimate_record,
     evaluate,
     factor,
     gauge_distance,
@@ -48,6 +49,12 @@ class TestTrialConfig:
             TrialConfig(d=2, n_states=1, n_measurements=1, epsilon=-0.1)
         with pytest.raises(ValueError, match="degeneracy"):
             TrialConfig(d=3, n_states=1, n_measurements=1, degeneracies=[2, 2])
+
+    def test_mixed_states_are_not_pure(self):
+        assert TrialConfig(d=2, n_states=1, n_measurements=1).pure_states
+        with pytest.raises(ValueError, match="^mixed_states needs pure_states false$"):
+            TrialConfig(d=2, n_states=1, n_measurements=1, mixed_states=True)
+        TrialConfig(d=2, n_states=1, n_measurements=1, mixed_states=True, pure_states=False)
 
 
 class TestEstimateTrivial:
@@ -162,6 +169,7 @@ class TestEstimateEndToEnd:
             n_measurements=3,
             seed=seed,
             mixed_states=True,
+            pure_states=False,
             max_augmentations=4,
             solver=SolverOptions(max_iters=3000),
         )
@@ -298,6 +306,7 @@ class TestEstimateEndToEnd:
                 seed=seed,
                 shots=shots,
                 mixed_states=mixed,
+                pure_states=not mixed,
                 max_augmentations=0,
                 solver=SolverOptions(max_iters=1),
             )
@@ -331,7 +340,7 @@ class TestEstimateEndToEnd:
         monkeypatch.setattr("gramscope.estimator.solve_table", never_certified)
         cfg = TrialConfig(
             d=2, n_states=3, n_measurements=2, seed=7, shots=shots, state_first=state_first,
-            mixed_states=mixed, max_augmentations=3,
+            mixed_states=mixed, pure_states=not mixed, max_augmentations=3,
         )
         est, ens = estimate(cfg)
         assert est.augmentations == 3
@@ -358,6 +367,42 @@ class TestEstimateEndToEnd:
         assert np.array_equal(ens.povms, ref.povms)
         # the grown ensemble is a checked record that owns read-only stacks
         assert not (ens.states.flags.writeable or ens.povms.flags.writeable)
+
+
+class TestPurityCheck:
+    """Pure states put 1 on every diagonal entry of the states' block, a
+    check the pins do not make."""
+
+    def test_exact_data_certificate_needs_unit_state_diagonal(self):
+        # at d=2 (5,5), seed 7, trace-min returns a rank-4 completion that
+        # meets every pin but is off the truth by 0.28; its state diagonal
+        # is off 1 by as much, so declared purity refuses the certificate
+        # the rank tail alone would give
+        cfg = TrialConfig(d=2, n_states=5, n_measurements=5, max_augmentations=0, seed=7)
+        est, truth = estimate(cfg)
+        assert est.report.converged and est.rank_tail <= cfg.tau
+        assert not est.certified and est.factor_matrix is None
+        assert est.purity_residual > 0.2 and evaluate(est, truth).max_entry_error > 0.2
+        diag = np.diag(est.g_hat.values)[: est.g_hat.n_states]
+        assert est.purity_residual == np.max(np.abs(diag - 1.0))
+        undeclared = solve_table(est.table, replace(cfg, pure_states=False))
+        assert undeclared.certified and undeclared.purity_residual is None
+        assert estimate_record(undeclared, None)["purity_residual"] is None
+        assert estimate_record(est, None)["purity_residual"] == est.purity_residual
+
+    def test_recovered_estimate_passes(self):
+        cfg = TrialConfig(d=2, n_states=10, n_measurements=10, max_augmentations=0, seed=7)
+        est, truth = estimate(cfg)
+        assert est.certified and est.purity_residual <= 1e-8
+        assert evaluate(est, truth).success
+
+    def test_interval_data_reports_the_residual_only(self):
+        # with interval pins the estimate shrinks the state diagonal by the
+        # order of epsilon, so the residual is recorded but not held to tau
+        cfg = TrialConfig(d=2, n_states=5, n_measurements=5, max_augmentations=0, seed=7)
+        table = estimate(cfg)[0].table
+        est = solve_table(table, replace(cfg, epsilon=1e-3, tau=1e-2))
+        assert est.certified and est.purity_residual > cfg.tau
 
 
 class TestEvaluate:

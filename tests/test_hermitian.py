@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gramscope.hermitian import (
-    PARTIAL_BUFFER,
     WarmSpectrum,
     _eigh,
     _solve,
@@ -211,8 +210,8 @@ class TestClipSpectrumWarm:
         for scale, certified in ((1e-4, True), (1e-3, False)):
             warm = WarmSpectrum()
             clip_spectrum(m, self.RADIUS, warm=warm)
-            assert warm.partial_steps == 0 and warm.basis.shape == (40, 7)
-            assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
+            assert warm.partial_steps == 0 and warm.basis.shape == (40, 3)
+            assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 :])
             m2 = m + scale * (e + e.T)
             warm.tol = 1e-3
             out = clip_spectrum(m2, self.RADIUS, warm=warm)
@@ -239,13 +238,37 @@ class TestClipSpectrumWarm:
         assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
         assert np.array_equal(out, clip_spectrum(m, self.RADIUS))
         # the full step re-seeds the basis from its own eigenvectors
-        assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 - PARTIAL_BUFFER :])
+        assert np.array_equal(warm.basis, np.linalg.eigh(m)[1][:, 40 - 3 :])
+
+    def test_basis_is_exactly_the_positive_vectors(self):
+        # a full step keeps its positive eigenvectors and an accepted
+        # partial step its positive Ritz vectors, no more: the next partial
+        # step then works on twice as many dimensions as there are
+        # positive eigenvalues
+        rng = np.random.default_rng(11)
+        m, _ = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
+        warm = WarmSpectrum()
+        clip_spectrum(m, self.RADIUS, warm=warm)
+        w, u = np.linalg.eigh(m)
+        assert np.array_equal(warm.basis, u[:, w > 0])
+        e = rng.standard_normal((40, 40))
+        m2 = m + 1e-5 * (e + e.T)
+        warm.tol = 1e-3
+        out = clip_spectrum(m2, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 1 and warm.basis.shape == (40, 3)
+        # Ritz vectors: orthonormal, diagonalizing m2 with positive Ritz
+        # values, from which the returned projection is built
+        ritz = warm.basis.T @ m2 @ warm.basis
+        theta = np.diag(ritz)
+        assert np.allclose(warm.basis.T @ warm.basis, np.eye(3), atol=1e-12)
+        assert np.allclose(ritz, np.diag(theta), atol=1e-12) and theta.min() > 0
+        assert np.allclose(out, (warm.basis * np.minimum(theta, self.RADIUS)) @ warm.basis.T)
 
     def test_full_step_keeps_a_basis_too_wide_to_use(self):
-        # 8 positive eigenvalues plus the buffer exceed a quarter of n=40:
-        # the full step stores that basis, and the next call never tries it
+        # 12 positive eigenvalues exceed a quarter of n=40: the full step
+        # stores that basis, and the next call never tries it
         rng = np.random.default_rng(13)
-        m, _ = low_rank_spectrum(40, np.linspace(0.5, 3.0, 8), rng)
+        m, _ = low_rank_spectrum(40, np.linspace(0.5, 3.0, 12), rng)
         warm = WarmSpectrum(basis=np.eye(40)[:, :1])
         clip_spectrum(m, self.RADIUS, warm=warm)
         assert warm.failed_partial_steps == 1 and warm.basis.shape == (40, 12)
@@ -260,7 +283,7 @@ class TestClipSpectrumWarm:
         m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
         e = rng.standard_normal((40, 40))
         m2 = m + 1e-3 * (e + e.T)
-        warm = WarmSpectrum(tol=0.0, basis=u[:, 40 - 3 - PARTIAL_BUFFER :])
+        warm = WarmSpectrum(tol=0.0, basis=u[:, 40 - 3 :])
         qr = np.linalg.qr
         calls = []
 

@@ -290,7 +290,8 @@ class TestSolveTraceMin:
         # full eigendecompositions in 349 iterations (62 in 356 at 0.3 r).
         # One round needs 88 in 356 at 0.1 r and 69 in 375 at 0.3 r; with
         # the step at RHO / sqrt(n) and no over-relaxation, 91 in 289 at
-        # 0.1 r and 70 in 289 at 0.3 r.
+        # 0.1 r and 70 in 289 at 0.3 r; with bases of the positive eigen- or
+        # Ritz vectors only, 69 in 266 at 0.5 r.
         full_steps_at_budget_one_tenth = 83
         prob = instance(3, 30, 50, seed=1)
         opts = SolverOptions(primal_tol=1e-7, dual_tol=1e-7)
