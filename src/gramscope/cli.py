@@ -92,9 +92,12 @@ def cmd_synth(args) -> int:
 @dataclass(frozen=True, kw_only=True)
 class DataConfig(SolveConfig):
     """The ``estimate`` config of a recorded table: ``data`` is the directory
-    holding its ``table.json``; the other fields are ``SolveConfig``'s."""
+    holding its ``table.json``, and ``pure_states`` declares the states
+    that made it pure (``SolveConfig.pure_states``); the other fields are
+    ``SolveConfig``'s."""
 
     data: str
+    pure_states: bool = True
 
 
 def _recorded_table(cfg: dict) -> tuple[DataTable, DataConfig]:

@@ -59,18 +59,14 @@ class SolveConfig:
     without it they are non-degenerate, with K = d outcomes. A nonzero
     ``epsilon`` widens the data-block pins into intervals of that
     half-width, and ``tau`` bounds the eigenvalue tail that the rank
-    certificate accepts. ``pure_states`` declares every state pure, so that
-    each diagonal entry of the states' block is 1; on exact data (``epsilon``
-    0) the certificate then also holds their largest distance from 1 to
-    ``tau``. Every check on these settings is made here, once, for each
-    config that extends this one.
+    certificate accepts. Every check on these settings is made here, once,
+    for each config that extends this one.
     """
 
     d: int
     degeneracies: list[int] | None = None
     epsilon: float = 0.0
     tau: float = 1e-4
-    pure_states: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -85,6 +81,16 @@ class SolveConfig:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         projective_multiplicities(self.d, None, self.degeneracies)
 
+    @property
+    def pure_states(self) -> bool:
+        """Whether every state is declared pure, so that each diagonal entry
+        of the states' block is 1; on exact data (``epsilon`` 0) the
+        certificate then also holds their largest distance from 1 to
+        ``tau``. Bare solve settings declare nothing about the states, so
+        it is false here; ``TrialConfig`` derives it from ``mixed_states``
+        and the CLI's ``DataConfig`` sets it."""
+        return False
+
 
 @dataclass(frozen=True, kw_only=True)
 class TrialConfig(SolveConfig):
@@ -96,8 +102,9 @@ class TrialConfig(SolveConfig):
     value draws the outcome frequencies of that many shots, at most 2**63 - 1
     (numpy's multinomial takes a C long). ``epsilon`` applies with or without
     shots. Every state, the added ones too, is mixed when ``mixed_states`` is
-    set, which needs ``pure_states`` false. ``gramscope synth`` writes the
-    ensemble and table a trial starts from.
+    set; otherwise they are pure, which the certificate checks
+    (``pure_states``). ``gramscope synth`` writes the ensemble and table a
+    trial starts from.
     """
 
     n_states: int
@@ -116,8 +123,10 @@ class TrialConfig(SolveConfig):
             raise ValueError("max_augmentations and seed must be >= 0")
         if self.shots is not None and not 1 <= self.shots < 2**63:
             raise ValueError(f"shots must be in [1, 2**63 - 1] when finite, got {self.shots}")
-        if self.mixed_states and self.pure_states:
-            raise ValueError("mixed_states needs pure_states false")
+
+    @property
+    def pure_states(self) -> bool:
+        return not self.mixed_states
 
 
 @dataclass

@@ -127,9 +127,10 @@ def vectorize(h: np.ndarray) -> np.ndarray:
     return np.einsum("aij,...ij->...a", herm_basis(h.shape[-1]).conj(), h).real
 
 
-#: The partial step is tried only while the warm basis, the positive
-#: eigenvectors or Ritz vectors of the last step, has at most this fraction
-#: of n columns; beyond it a dense eigh is about as cheap.
+#: The partial step is tried only while its Rayleigh-Ritz subspace, of
+#: twice as many dimensions as the warm basis has columns, stays below this
+#: fraction of n; beyond it a dense eigh is about as cheap. At d=2, where
+#: the iterate keeps 4 positive eigenvalues, this holds from n=33 on.
 PARTIAL_FRACTION = 0.25
 
 
@@ -211,9 +212,10 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     positive.
 
     With ``warm`` a sequence of calls on slowly changing inputs may skip
-    the dense eigendecomposition: while the warm basis has at most
-    ``PARTIAL_FRACTION * n`` columns, the projection is first computed by
-    one Rayleigh-Ritz step from that subspace and returned only when its
+    the dense eigendecomposition: while twice the warm basis's column
+    count is below ``PARTIAL_FRACTION * n``, the projection is first
+    computed by one Rayleigh-Ritz step from that subspace (the basis and
+    its Krylov extension) and returned only when its
     Frobenius error is certified below ``warm.tol``. Otherwise, and
     without ``warm``, the result is the exact projection; that full step
     always keeps exactly the eigenvectors above 0 as the next warm basis.
@@ -229,7 +231,7 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     basis = None if warm is None else warm.basis
-    if basis is not None and basis.shape[1] <= PARTIAL_FRACTION * n:
+    if basis is not None and 2 * basis.shape[1] < PARTIAL_FRACTION * n:
         out = _partial_psd(a, hi, warm)
         if out is not None:
             warm.partial_steps += 1

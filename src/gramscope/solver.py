@@ -71,13 +71,14 @@ ANDERSON_RIDGE = 1e-8
 #: positive eigen- or Ritz vectors only, over the 24 instances of the
 #: benchmark's d3_large_solve pool (n=180, one BLAS thread), as
 #: iterations / full eigendecompositions / failed partial attempts:
-#:   0.3   7,150 / 2,577 / 1,174
-#:   0.5   7,166 / 2,313 / 910
-#:   0.7   7,262 / 2,237 / 834
+#:   0.3   7,190 / 2,644 / 995
+#:   0.5   7,138 / 2,416 / 761
+#:   0.7   7,226 / 2,321 / 666
 #: against 7,447 / 2,349 / 916 at 0.3 with 4 more Ritz vectors kept in
-#: each basis. 0.5 keeps the iterations of 0.3 and saves a tenth of the
-#: full steps; past it the full steps fall more slowly than the
-#: iterations rise. At d=2 no partial step runs.
+#: each basis. 0.5 takes the fewest iterations and saves 9% of the full
+#: steps of 0.3; past it the full steps fall more slowly than the
+#: iterations rise. At d=2 no partial step is tried below n=33
+#: (``hermitian.PARTIAL_FRACTION``).
 PARTIAL_TOL = 0.5
 
 

@@ -89,18 +89,6 @@ class TestSynth:
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
-    def test_mixed_states_need_pure_states_false(self, tmp_path, capsys):
-        # pure states are the default declaration, which mixed ones contradict
-        mixed = {**SYNTH_CFG, "mixed_states": True}
-        for command in ("synth", "estimate"):
-            cfg = write_json(tmp_path / "cfg.json", mixed)
-            out = tmp_path / command
-            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-            assert "mixed_states needs pure_states false" in capsys.readouterr().err
-            assert not out.exists()
-            cfg = write_json(tmp_path / "cfg.json", {**mixed, "pure_states": False})
-            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
-
     def test_table_is_the_first_table_of_the_trial(self, tmp_path):
         # one trial config drives both commands: synth writes the table the
         # trial starts from, byte for byte
@@ -188,6 +176,26 @@ class TestEstimate:
         assert result["certified"] is True and result["target_rank"] == 4
         assert isinstance(result["rank_tail"], float)
         assert result["rank_tail"] <= SolveConfig(d=2).tau
+
+    def test_recorded_states_are_declared_pure_by_default(self, tmp_path):
+        # the d=2 (5,5) seed-7 table: its trace minimum meets every pin, but
+        # its state diagonal is off 1 by about 0.28, so the default purity
+        # declaration refuses the certificate the rank tail alone would give
+        synth_cfg = write_json(
+            tmp_path / "s.json", {"d": 2, "n_states": 5, "n_measurements": 5, "seed": 7}
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == EXIT_OK
+        results = {}
+        for key, extra in (("default", {}), ("undeclared", {"pure_states": False})):
+            est_cfg = write_json(tmp_path / "e.json", {"d": 2, "data": str(data), **extra})
+            out = tmp_path / key
+            assert main(["estimate", "--config", est_cfg, "--out", str(out)]) == EXIT_OK
+            results[key] = json.loads((out / "estimate.json").read_text())
+        assert results["default"]["certified"] is False
+        assert results["default"]["purity_residual"] > 0.2
+        assert results["undeclared"]["certified"] is True
+        assert results["undeclared"]["purity_residual"] is None
 
     def test_record_is_the_scalar_fields(self, tmp_path):
         # estimate.json is flat: the scalar fields of the estimate, of its

@@ -50,11 +50,14 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="degeneracy"):
             TrialConfig(d=3, n_states=1, n_measurements=1, degeneracies=[2, 2])
 
-    def test_mixed_states_are_not_pure(self):
+    def test_states_are_pure_unless_mixed(self):
+        # a trial knows its states, so purity is read off mixed_states and
+        # is no key of its own; bare solve settings declare nothing
         assert TrialConfig(d=2, n_states=1, n_measurements=1).pure_states
-        with pytest.raises(ValueError, match="^mixed_states needs pure_states false$"):
-            TrialConfig(d=2, n_states=1, n_measurements=1, mixed_states=True)
-        TrialConfig(d=2, n_states=1, n_measurements=1, mixed_states=True, pure_states=False)
+        assert not TrialConfig(d=2, n_states=1, n_measurements=1, mixed_states=True).pure_states
+        assert not SolveConfig(d=2).pure_states
+        with pytest.raises(ValueError, match=r"unknown TrialConfig key\(s\): \['pure_states'\]"):
+            from_json(TrialConfig, {"d": 2, "n_states": 1, "n_measurements": 1, "pure_states": True})
 
 
 class TestEstimateTrivial:
@@ -169,7 +172,6 @@ class TestEstimateEndToEnd:
             n_measurements=3,
             seed=seed,
             mixed_states=True,
-            pure_states=False,
             max_augmentations=4,
             solver=SolverOptions(max_iters=3000),
         )
@@ -306,7 +308,6 @@ class TestEstimateEndToEnd:
                 seed=seed,
                 shots=shots,
                 mixed_states=mixed,
-                pure_states=not mixed,
                 max_augmentations=0,
                 solver=SolverOptions(max_iters=1),
             )
@@ -340,7 +341,7 @@ class TestEstimateEndToEnd:
         monkeypatch.setattr("gramscope.estimator.solve_table", never_certified)
         cfg = TrialConfig(
             d=2, n_states=3, n_measurements=2, seed=7, shots=shots, state_first=state_first,
-            mixed_states=mixed, pure_states=not mixed, max_augmentations=3,
+            mixed_states=mixed, max_augmentations=3,
         )
         est, ens = estimate(cfg)
         assert est.augmentations == 3
@@ -385,7 +386,7 @@ class TestPurityCheck:
         assert est.purity_residual > 0.2 and evaluate(est, truth).max_entry_error > 0.2
         diag = np.diag(est.g_hat.values)[: est.g_hat.n_states]
         assert est.purity_residual == np.max(np.abs(diag - 1.0))
-        undeclared = solve_table(est.table, replace(cfg, pure_states=False))
+        undeclared = solve_table(est.table, SolveConfig(d=2))
         assert undeclared.certified and undeclared.purity_residual is None
         assert estimate_record(undeclared, None)["purity_residual"] is None
         assert estimate_record(est, None)["purity_residual"] == est.purity_residual

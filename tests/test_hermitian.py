@@ -233,7 +233,7 @@ class TestClipSpectrumWarm:
         # test of the complement must not, and the full step runs
         rng = np.random.default_rng(12)
         m, u = low_rank_spectrum(40, [0.7, 1.5, 3.0], rng)
-        warm = WarmSpectrum(tol=np.inf, basis=u[:, 30:39])
+        warm = WarmSpectrum(tol=np.inf, basis=u[:, 35:39])
         out = clip_spectrum(m, self.RADIUS, warm=warm)
         assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
         assert np.array_equal(out, clip_spectrum(m, self.RADIUS))
@@ -264,9 +264,31 @@ class TestClipSpectrumWarm:
         assert np.allclose(ritz, np.diag(theta), atol=1e-12) and theta.min() > 0
         assert np.allclose(out, (warm.basis * np.minimum(theta, self.RADIUS)) @ warm.basis.T)
 
+    def test_all_negative_iterate_keeps_an_empty_basis(self):
+        # a full step on a negative definite matrix keeps no vector; the
+        # next partial step is then the Cholesky test of -A alone, which
+        # certifies the zero projection of a nearby negative definite
+        # matrix and refuses one with a positive eigenvalue
+        rng = np.random.default_rng(14)
+        m, u = low_rank_spectrum(40, [], rng)
+        warm = WarmSpectrum()
+        assert np.array_equal(clip_spectrum(m, self.RADIUS, warm=warm), np.zeros((40, 40)))
+        assert warm.basis.shape == (40, 0)
+        e = rng.standard_normal((40, 40))
+        warm.tol = 1e-3
+        out = clip_spectrum(m + 1e-3 * (e + e.T), self.RADIUS, warm=warm)
+        assert warm.partial_steps == 1 and warm.failed_partial_steps == 0
+        assert np.array_equal(out, np.zeros((40, 40))) and warm.basis.shape == (40, 0)
+        m2 = m + 4.0 * np.outer(u[:, -1], u[:, -1])  # one eigenvalue lifted into [1, 3.5]
+        out = clip_spectrum(m2, self.RADIUS, warm=warm)
+        assert warm.partial_steps == 1 and warm.failed_partial_steps == 1
+        assert np.array_equal(out, clip_spectrum(m2, self.RADIUS))
+        assert np.linalg.eigvalsh(m2)[-1] > 0 and warm.basis.shape == (40, 1)
+
     def test_full_step_keeps_a_basis_too_wide_to_use(self):
-        # 12 positive eigenvalues exceed a quarter of n=40: the full step
-        # stores that basis, and the next call never tries it
+        # 12 positive eigenvalues span a Ritz subspace of 24 dimensions,
+        # more than a quarter of n=40: the full step stores that basis, and
+        # the next call never tries it
         rng = np.random.default_rng(13)
         m, _ = low_rank_spectrum(40, np.linspace(0.5, 3.0, 12), rng)
         warm = WarmSpectrum(basis=np.eye(40)[:, :1])
