@@ -5,9 +5,10 @@
 ``solve_table`` solves and certifies one table under any of them. A trial
 starts from the ensemble and table that ``draw_trial`` draws (the two
 ``gramscope synth`` writes) and solves each table with ``solve_table``.
-While a converged solve fails the rank certificate and budget remains, the
-trial grows by one state (a row) or one measurement (K columns), state
-first and alternating, drawn by ``sample_ensemble`` like the others.
+While a converged solve is refused for any reason but the table's
+dimension and budget remains, the trial grows by one state (a row) or one
+measurement (K columns), state first and alternating, drawn by
+``sample_ensemble`` like the others.
 """
 
 from __future__ import annotations
@@ -134,9 +135,11 @@ class GramEstimate:
     """Solver output with rank certificate (``rank_tail`` is the tail it holds
     to ``tau``), optional gauge-fixed factor, and the data table that was
     solved. ``purity_residual`` is max_w |G_ww - 1| over the states when they
-    are declared pure, else None. ``report`` is the last solve's; ``solves``
-    and ``total_iterations`` count the solves and their ADMM iterations over
-    the whole trial."""
+    are declared pure, else None. ``refusal`` names the first check that an
+    uncertified estimate failed, None when it is certified (see
+    ``solve_table``). ``report`` is the last solve's; ``solves`` and
+    ``total_iterations`` count the solves and their ADMM iterations over the
+    whole trial."""
 
     g_hat: GramMatrix
     certified: bool
@@ -144,6 +147,7 @@ class GramEstimate:
     rank_tail: float
     augmentations: int
     report: SolverReport
+    refusal: str | None = None
     purity_residual: float | None = None
     factor_matrix: np.ndarray | None = None
     table: DataTable | None = None
@@ -180,13 +184,24 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     """Solve and certify one data table under the checked settings ``cfg``.
 
     Pins the projective knowledge (data-block pins widened by
-    ``cfg.epsilon`` when it is nonzero), trace-minimizes the completion in
-    the spectral box of radius W + V*d, and certifies the estimate when the
-    solve converged and its |eigenvalue| tail beyond the numerical rank of
-    the table is at most ``cfg.tau``; with pure states on exact data its
-    purity residual must be at most ``cfg.tau`` too. A certified estimate
-    carries its rank-r factor. A ``TrialConfig`` is a ``SolveConfig``, so
-    ``solve_table(est.table, cfg)`` re-runs a trial's last solve.
+    ``cfg.epsilon`` when it is nonzero) and trace-minimizes the completion
+    in the spectral box of radius W + V*d. The estimate is certified when it
+    passes every check below; otherwise ``refusal`` names the first it
+    fails, in this order:
+
+    - ``unconverged``: the solve stopped at its iteration cap;
+    - ``dimension``: an exact table (no shots) whose numerical rank exceeds
+      d^2, which no d-dimensional model produces, because its data block is
+      P_st^T P_m of rank <= d^2 (a dimension witness: Brunner et al. 2008,
+      "Testing the dimension of Hilbert spaces");
+    - ``rank_tail``: the |eigenvalue| tail beyond the table's numerical rank
+      exceeds ``cfg.tau``;
+    - ``purity``: with pure states on exact data (``cfg.epsilon`` 0), the
+      purity residual exceeds ``cfg.tau``.
+
+    A certified estimate carries its rank-r factor. A ``TrialConfig`` is a
+    ``SolveConfig``, so ``solve_table(est.table, cfg)`` re-runs a trial's
+    last solve.
     """
     kn = knowledge_projective(table, cfg.d, cfg.degeneracies)
     if cfg.epsilon:
@@ -197,11 +212,14 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     purity = None
     if cfg.pure_states:
         purity = float(np.abs(g_hat.values.diagonal()[: g_hat.n_states] - 1.0).max(initial=0.0))
-    certified = (
-        rank_certificate(g_hat, target_rank, cfg.tau)
-        and report.converged
-        and (purity is None or cfg.epsilon > 0 or purity <= cfg.tau)
-    )
+    passed = {  # all run: the benchmark's tracer pairs each solve with one rank_certificate
+        "unconverged": report.converged,
+        "dimension": table.shots is not None or target_rank <= cfg.d**2,
+        "rank_tail": rank_certificate(g_hat, target_rank, cfg.tau),
+        "purity": purity is None or cfg.epsilon > 0 or purity <= cfg.tau,
+    }
+    refusal = next((check for check, ok in passed.items() if not ok), None)
+    certified = refusal is None
     return GramEstimate(
         g_hat=g_hat,
         certified=certified,
@@ -209,6 +227,7 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
         rank_tail=rank_tail(g_hat, target_rank),
         augmentations=0,
         report=report,
+        refusal=refusal,
         purity_residual=purity,
         factor_matrix=factor(g_hat, target_rank) if certified else None,
         table=table,
@@ -234,9 +253,10 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     Each step is one ``solve_table`` on the current table, so the result
     is exactly what ``solve_table`` gives on the final table. A solve that
     stops at its iteration cap is never certified, and it ends the trial
-    rather than start a larger solve under the same cap. An unconverged
-    solve or an exhausted augmentation budget yields ``certified=False``
-    rather than an exception.
+    rather than start a larger solve under the same cap. A ``dimension``
+    refusal ends it too: more data cannot fit a model of the wrong
+    dimension. An unconverged solve, a wrong dimension or an exhausted
+    augmentation budget yields ``certified=False`` rather than an exception.
     """
     rng = np.random.default_rng(cfg.seed)
     ens, table = draw_trial(cfg, rng)
@@ -244,7 +264,12 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     while True:
         est = solve_table(table, cfg)
         iterations.append(est.report.iterations)
-        if est.certified or not est.report.converged or len(iterations) > cfg.max_augmentations:
+        if (
+            est.certified
+            or not est.report.converged
+            or est.refusal == "dimension"
+            or len(iterations) > cfg.max_augmentations
+        ):
             break
         add_state = int(cfg.state_first == (len(iterations) % 2 == 1))
         new = sample_ensemble(
@@ -302,10 +327,11 @@ def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
 
 def estimate_record(est: GramEstimate, metrics: Metrics | None) -> dict:
     """The flat record of an estimate, as ``estimate.json`` and every batch
-    trial record hold it: each scalar field of ``est`` (``X | None`` too),
-    each field of its last solve's report but the wall time ``seconds``, and
-    each field of ``metrics``, all None when there is no ground truth."""
-    scalars = (bool, int, float, bool | None, int | None, float | None)
+    trial record hold it: each scalar field of ``est`` (``X | None`` too, and
+    the ``str | None`` of ``refusal``), each field of its last solve's report
+    but the wall time ``seconds``, and each field of ``metrics``, all None
+    when there is no ground truth."""
+    scalars = (bool, int, float, bool | None, int | None, float | None, str | None)
     return {
         **{n: getattr(est, n) for n, kind in field_types(GramEstimate).items() if kind in scalars},
         **{n: getattr(est.report, n) for n in field_types(SolverReport) if n != "seconds"},

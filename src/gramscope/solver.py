@@ -189,6 +189,13 @@ def _pin_rule(kn: Knowledge, at: np.ndarray, scale: np.ndarray | float = 1.0):
     interval_at, interval_lo, interval_hi = at[~exact], lo[~exact], hi[~exact]
     # Exact pins alone skip four calls on empty arrays: 0.8 against 2.0 us
     # at n=15 (65 pins), of a 55 us iteration of an asymptotic d=2 solve.
+    # End to end, one clip rule for every pin (bit-identical on all 408
+    # benchmark pool instances) was slower in 4 of 4 alternating pairs on
+    # d2_single_solve (trial_cost.p50 medians 0.3318 -> 0.3410) and on
+    # d3_large_solve (0.1568 -> 0.1616), and in 3 of 4 on d2_shots_augment.
+    # A second set of 4 pairs read 0.3202 -> 0.3289 (4 of 4) and 0.1548 ->
+    # 0.1553 (3 of 4); on d2_shots_augment, whose interval pins take the
+    # two-put path below, it read 0.4419 -> 0.4307, faster in 4 of 4.
     if not interval_at.size:
         return lambda x: x.put(exact_at, values)
 

@@ -1,8 +1,9 @@
 """Synthetic experiments, data tables, and the schema of every record.
 
-States are drawn uniformly (Haar) from the pure states; measurements are
-obtained by Haar-rotating a computational-basis projective measurement.
-An ``Ensemble`` holds them as checked stacks. Data tables hold outcome
+``sample_ensemble`` draws states uniformly (Haar) from the pure states, or
+full-rank mixed ones, and measurements by Haar-rotating a computational-basis
+projective measurement, all states as one stack and all measurements as
+another; an ``Ensemble`` holds them as checked stacks. Data tables hold outcome
 probabilities (asymptotic) or frequencies (finite shot count);
 ``estimator.born_table`` builds them. A record's annotations
 are its schema: ``check_types`` is the one rule of what a field may hold,
@@ -28,9 +29,10 @@ from .hermitian import hermiticity_residual
 class Ensemble:
     """W states and V projective K-outcome measurements on C^d, as read-only complex
     copies: stacks ``states`` (W, d, d) and ``povms`` (V, K, d, d), an empty input the
-    empty stack. Checked when built, rule by rule on whole stacks, within ``ENSEMBLE_TOL``:
-    states Hermitian, PSD, trace 1; effects Hermitian, PSD; POVMs projective (tr(E_k E_q)
-    = delta_kq tr(E_k)) summing to I. Errors name the first bad state, effect or POVM."""
+    empty stack. Checked when built, rule by rule on whole stacks: states Hermitian, PSD,
+    trace 1; effects Hermitian, PSD; POVMs summing to I, each within ``ENSEMBLE_TOL``; and
+    POVMs projective, tr(E_k E_q) = delta_kq tr(E_k) within 1e-9. Errors name the first
+    bad state, effect or POVM."""
 
     dim: int
     states: np.ndarray = ()
@@ -97,7 +99,8 @@ def _misshapen(states, povms, d: int) -> str:
 
 #: Largest |sum - 1| of the outcome frequencies of one (state, measurement).
 ROW_SUM_TOL = 1e-9
-#: Largest violation of a state or POVM invariant that an ``Ensemble`` accepts.
+#: Largest violation of a state or POVM invariant that an ``Ensemble`` accepts,
+#: but for the projectors' overlaps, which it holds to 1e-9.
 ENSEMBLE_TOL = 1e-10
 
 
@@ -146,38 +149,6 @@ class DataTable:
             raise ValueError("per-measurement outcome frequencies do not sum to 1")
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary via QR of a complex Ginibre matrix.
-
-    The R diagonal is phase-fixed so the distribution is exactly Haar.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
-def sample_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state |psi><psi| from a normalized complex Gaussian."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
-def sample_mixed_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix rho = A A^dag / tr(A A^dag)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def projective_multiplicities(
     d: int, n_outcomes: int | None, degeneracies: list[int] | None = None
 ) -> list[int]:
@@ -198,29 +169,6 @@ def projective_multiplicities(
     return list(mults)
 
 
-def sample_projective_measurement(
-    d: int,
-    rng: np.random.Generator,
-    degeneracies: list[int] | None = None,
-) -> list[np.ndarray]:
-    """Haar-rotated projective measurement.
-
-    With no ``degeneracies`` the effects are the d rank-1 projectors
-    U |k><k| U^dag. A degeneracy pattern (checked by
-    ``projective_multiplicities``) groups consecutive basis vectors into
-    higher-rank projectors.
-    """
-    mults = projective_multiplicities(d, None, degeneracies)
-    u = haar_unitary(d, rng)
-    effects = []
-    start = 0
-    for mult in mults:
-        block = u[:, start : start + mult]
-        effects.append(block @ block.conj().T)
-        start += mult
-    return effects
-
-
 def sample_ensemble(
     d: int,
     n_states: int,
@@ -229,11 +177,38 @@ def sample_ensemble(
     mixed: bool = False,
     degeneracies: list[int] | None = None,
 ) -> Ensemble:
-    """Sample a full ensemble of Haar states and Haar-rotated projective POVMs."""
-    sample_state = sample_mixed_state if mixed else sample_pure_state
-    states = [sample_state(d, rng) for _ in range(n_states)]
-    povms = [sample_projective_measurement(d, rng, degeneracies) for _ in range(n_measurements)]
-    return Ensemble(dim=d, states=states, povms=povms)
+    """W random states and V Haar-rotated projective measurements on C^d,
+    drawn from ``rng`` as two stacks: the states' Gaussians first, then the
+    measurements'. The draws are those of W calls with (W, V) = (1, 0)
+    followed by V calls with (0, 1).
+
+    A pure state is |psi><psi| of a normalized complex Gaussian psi (Haar);
+    a mixed one is A A^dag / tr(A A^dag) of a complex Ginibre A (full rank).
+    A measurement's effects are U |k><k| U^dag, with U the QR factor of a
+    complex Ginibre matrix whose R diagonal is phase-fixed, so that U is
+    exactly Haar (Mezzadri 2007). A degeneracy pattern (checked by
+    ``projective_multiplicities``) groups consecutive columns of U into
+    higher-rank projectors.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    edges = np.cumsum([0] + projective_multiplicities(d, None, degeneracies))
+    a = rng.standard_normal((n_states, 2, d, d) if mixed else (n_states, 2, d))
+    a = a[:, 0] + 1j * a[:, 1]
+    if mixed:
+        rho = a @ a.conj().transpose(0, 2, 1)
+        states = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    else:  # one dot per state, as numpy.linalg.norm takes it: a row-wise norm moves last bits
+        psi = a / np.sqrt([v.real @ v.real + v.imag @ v.imag for v in a])[:, None]
+        states = psi[:, :, None] * psi.conj()[:, None, :]
+    z = rng.standard_normal((n_measurements, 2, d, d))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    ph = np.diagonal(r, axis1=1, axis2=2)
+    u = q * (ph / np.abs(ph))[:, None, :]
+    blocks = [u[:, :, lo:hi] for lo, hi in zip(edges, edges[1:])]
+    povms = np.stack([b @ b.conj().transpose(0, 2, 1) for b in blocks], axis=1)
+    # a list, so that no measurements give the empty stack of ``Ensemble()``
+    return Ensemble(dim=d, states=states, povms=list(povms))
 
 
 def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .estimator import born_table
 from .gram import gram, knowledge_projective, numerical_rank, r_qm, realize
 from .hermitian import clip_spectrum
-from .synth import sample_ensemble, sample_projective_measurement
+from .synth import sample_ensemble
 
 #: Dimensions d that the norm-bound and POVM-budget checks draw from.
 CHECK_DIMS = (2, 3, 4)
@@ -65,15 +65,14 @@ def check_povm_norm_budget(trials: int, rng: np.random.Generator) -> dict:
         d = int(rng.choice(CHECK_DIMS))
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            povm = sample_projective_measurement(d, rng)
+            povm = sample_ensemble(d, 0, 1, rng).povms[0]
             projective = True
         elif kind == 1 and d > 1:
-            povm = sample_projective_measurement(d, rng, degeneracies=[d - 1, 1])
+            povm = sample_ensemble(d, 0, 1, rng, degeneracies=[d - 1, 1]).povms[0]
             projective = True
         else:
             lam = float(rng.uniform(0.1, 0.9))
-            a = sample_projective_measurement(d, rng)
-            b = sample_projective_measurement(d, rng)
+            a, b = sample_ensemble(d, 0, 2, rng).povms
             povm = [lam * ea + (1 - lam) * eb for ea, eb in zip(a, b)]
             projective = False
         budget = sum(float(np.linalg.norm(e)) ** 2 for e in povm)

@@ -213,7 +213,8 @@ class TestEstimate:
         table = json.loads((tmp_path / "c" / "estimate.json").read_text())
         assert set(table) == set(json.loads(trial))
 
-        scalars = {kind + none for kind in ("bool", "int", "float") for none in ("", " | None")}
+        kinds = ("bool", "int", "float", "str")
+        scalars = {kind + none for kind in kinds for none in ("", " | None")}
         expected = {f.name for f in fields(GramEstimate) if f.type in scalars}
         expected |= {f.name for f in fields(SolverReport) if f.name != "seconds"}
         expected |= {f.name for f in fields(Metrics)}

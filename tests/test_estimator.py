@@ -19,7 +19,7 @@ from gramscope.estimator import (
 )
 from gramscope.gram import GramMatrix, gram, realize
 from gramscope.solver import SolverOptions, SolverReport, solve_trace_min
-from gramscope.synth import from_json, sample_ensemble
+from gramscope.synth import Ensemble, from_json, sample_ensemble
 
 
 class TestTrialConfig:
@@ -382,7 +382,7 @@ class TestPurityCheck:
         cfg = TrialConfig(d=2, n_states=5, n_measurements=5, max_augmentations=0, seed=7)
         est, truth = estimate(cfg)
         assert est.report.converged and est.rank_tail <= cfg.tau
-        assert not est.certified and est.factor_matrix is None
+        assert not est.certified and est.factor_matrix is None and est.refusal == "purity"
         assert est.purity_residual > 0.2 and evaluate(est, truth).max_entry_error > 0.2
         diag = np.diag(est.g_hat.values)[: est.g_hat.n_states]
         assert est.purity_residual == np.max(np.abs(diag - 1.0))
@@ -394,7 +394,7 @@ class TestPurityCheck:
     def test_recovered_estimate_passes(self):
         cfg = TrialConfig(d=2, n_states=10, n_measurements=10, max_augmentations=0, seed=7)
         est, truth = estimate(cfg)
-        assert est.certified and est.purity_residual <= 1e-8
+        assert est.certified and est.refusal is None and est.purity_residual <= 1e-8
         assert evaluate(est, truth).success
 
     def test_interval_data_reports_the_residual_only(self):
@@ -404,6 +404,71 @@ class TestPurityCheck:
         table = estimate(cfg)[0].table
         est = solve_table(table, replace(cfg, epsilon=1e-3, tau=1e-2))
         assert est.certified and est.purity_residual > cfg.tau
+
+
+def qutrit_leakage(eta: float, n_states: int, n_measurements: int, seed: int) -> tuple:
+    """Qubit states leaking amplitude sqrt(eta) into a third level, measured by
+    2-outcome qutrit projective measurements of multiplicities [1, 2]: an
+    exact table that a qubit model (d=2, K=2) reads, and its ensemble."""
+    rng = np.random.default_rng(seed)
+    qubits = sample_ensemble(2, n_states, 0, rng).states
+    povms = sample_ensemble(3, 0, n_measurements, rng, degeneracies=[1, 2]).povms
+    psi = np.zeros((n_states, 3), complex)
+    psi[:, :2] = np.sqrt(1 - eta) * np.linalg.eigh(qubits)[1][:, :, -1]
+    psi[:, 2] = np.sqrt(eta) * np.exp(2j * np.pi * rng.uniform(size=n_states))
+    ens = Ensemble(dim=3, states=psi[:, :, None] * psi.conj()[:, None, :], povms=povms)
+    return ens, born_table(ens)
+
+
+class TestRefusal:
+    """``refusal`` names the first check an estimate fails: unconverged,
+    dimension, rank_tail, purity."""
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-1])
+    def test_leakage_table_reads_dimension(self, eta):
+        # the data block of a qubit model has rank <= 4; leakage makes it 8
+        _, table = qutrit_leakage(eta, 16, 16, seed=0)
+        est = solve_table(table, SolveConfig(d=2))
+        assert est.target_rank == 8 and est.report.converged
+        assert est.refusal == "dimension" and not est.certified
+        assert estimate_record(est, None)["refusal"] == "dimension"
+
+    def test_qubit_table_in_a_qutrit_reads_rank_tail(self):
+        # no leakage: rank 4, but the measurements are not projective on the qubit
+        est = solve_table(qutrit_leakage(0.0, 16, 16, seed=0)[1], SolveConfig(d=2))
+        assert est.target_rank == 4 and est.refusal == "rank_tail"
+
+    def test_dimension_refusal_ends_the_trial(self, monkeypatch):
+        # more data cannot fit a model of the wrong dimension: one solve, no growth
+        leak = qutrit_leakage(1e-2, 16, 16, seed=1)
+        monkeypatch.setattr("gramscope.estimator.draw_trial", lambda cfg, rng: leak)
+        est, ens = estimate(TrialConfig(d=2, n_states=16, n_measurements=16))
+        assert est.refusal == "dimension"
+        assert (est.solves, est.augmentations) == (1, 0) and ens is leak[0]
+
+    def test_shot_tables_are_not_held_to_the_witness(self):
+        # sampling noise lifts a shot table's numerical rank above d^2
+        cfg = TrialConfig(
+            d=2, n_states=5, n_measurements=5, shots=10**6, epsilon=5e-3, tau=1e-2,
+            max_augmentations=0, seed=3,
+        )
+        est, _ = estimate(cfg)
+        assert est.target_rank > 4 and est.refusal != "dimension"
+
+    def test_unconverged_comes_first(self):
+        cfg = TrialConfig(
+            d=2, n_states=5, n_measurements=5, max_augmentations=0,
+            solver=SolverOptions(max_iters=3),
+        )
+        est, _ = estimate(cfg)
+        assert not est.report.converged and est.rank_tail > cfg.tau
+        assert est.refusal == "unconverged"
+
+    def test_criterion_1_trials_read_rank_tail_or_purity(self):
+        for seed in range(4):
+            cfg = TrialConfig(d=2, n_states=5, n_measurements=5, max_augmentations=0, seed=seed)
+            est, _ = estimate(cfg)
+            assert est.refusal in ("rank_tail", "purity") and not est.certified
 
 
 class TestEvaluate:

@@ -13,47 +13,68 @@ from gramscope.synth import (
     Ensemble,
     dump_json,
     from_json,
-    haar_unitary,
     projective_multiplicities,
     sample_ensemble,
-    sample_mixed_state,
-    sample_projective_measurement,
-    sample_pure_state,
 )
 
 
-class TestHaarUnitary:
-    def test_unitarity(self):
-        rng = np.random.default_rng(0)
-        for d in (1, 2, 3, 5):
-            u = haar_unitary(d, rng)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+class TestSampleEnsemble:
+    # pure d=3, mixed d=3, degenerate [2, 1] d=3, degenerate [3, 1] d=4
+    CASES = [(3, False, None), (3, True, None), (3, False, [2, 1]), (4, False, [3, 1])]
 
-    def test_eigenphase_uniformity(self):
-        # Haar eigenvalue phases are uniform on the circle; a strong bias
-        # would show in the mean phase vector.
-        rng = np.random.default_rng(1)
-        phases = np.concatenate(
-            [np.angle(np.linalg.eigvals(haar_unitary(3, rng))) for _ in range(2000)]
-        )
-        assert abs(np.mean(np.exp(1j * phases))) < 0.05
+    @pytest.mark.parametrize("d, mixed, degeneracies", CASES)
+    def test_stacked_draw_equals_one_draw_per_item(self, d, mixed, degeneracies):
+        # W states and V measurements drawn as two stacks are, bit for bit,
+        # W one-state draws followed by V one-measurement draws
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        ens = sample_ensemble(d, 5, 7, rng, mixed, degeneracies)
+        states = [sample_ensemble(d, 1, 0, twin, mixed, degeneracies).states for _ in range(5)]
+        povms = [sample_ensemble(d, 0, 1, twin, mixed, degeneracies).povms for _ in range(7)]
+        assert ens.states.tobytes() == np.concatenate(states).tobytes()
+        assert ens.povms.tobytes() == np.concatenate(povms).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_rejects_dimension_below_one(self):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            sample_ensemble(0, 1, 1, np.random.default_rng(0))
+
+
+class TestHaarBasis:
+    def test_effect_overlap_moments(self):
+        # for a Haar basis, <0|E_k|0> = |<0|U|k>|^2 ~ Beta(1, d - 1): mean 1/d
+        # and second moment 2 / (d (d + 1)); one effect per measurement, as
+        # the d effects' overlaps sum to 1
+        d = 3
+        povms = sample_ensemble(d, 0, 4000, np.random.default_rng(1)).povms
+        x = povms[:, 0, 0, 0].real
+        assert abs(x.mean() - 1 / d) < 0.015
+        assert abs((x**2).mean() - 2 / (d * (d + 1))) < 0.015
 
 
 class TestSamplePureState:
     def test_purity_and_trace(self):
         rng = np.random.default_rng(2)
         for d in (1, 2, 4):
-            rho = sample_pure_state(d, rng)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-            assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
+            for rho in sample_ensemble(d, 3, 0, rng).states:
+                assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+                assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_is_the_outer_product_of_a_normalized_gaussian(self):
+        # bit for bit: each state is |psi><psi| of psi = g / ||g||, with g
+        # drawn as d real parts, then d imaginary parts
+        states = sample_ensemble(4, 6, 0, np.random.default_rng(12)).states
+        twin = np.random.default_rng(12)
+        for rho in states:
+            psi = twin.standard_normal(4) + 1j * twin.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            assert rho.tobytes() == np.outer(psi, psi.conj()).tobytes()
 
     def test_d1(self):
-        rho = sample_pure_state(1, np.random.default_rng(0))
+        rho = sample_ensemble(1, 1, 0, np.random.default_rng(0)).states[0]
         assert np.allclose(rho, [[1.0]])
 
     def test_mean_is_maximally_mixed(self):
-        rng = np.random.default_rng(3)
-        mean = sum(sample_pure_state(2, rng) for _ in range(10_000)) / 10_000
+        mean = sample_ensemble(2, 10_000, 0, np.random.default_rng(3)).states.mean(axis=0)
         assert np.max(np.abs(mean - np.eye(2) / 2)) < 0.05
 
 
@@ -61,7 +82,7 @@ class TestSampleProjectiveMeasurement:
     def test_projective_closure(self):
         rng = np.random.default_rng(4)
         for d in (1, 2, 3):
-            povm = sample_projective_measurement(d, rng)
+            povm = sample_ensemble(d, 0, 1, rng).povms[0]
             assert len(povm) == d
             assert np.max(np.abs(sum(povm) - np.eye(d))) < 1e-10
             for k, ek in enumerate(povm):
@@ -70,13 +91,12 @@ class TestSampleProjectiveMeasurement:
                     assert np.trace(ek @ eq).real == pytest.approx(expected, abs=1e-10)
 
     def test_mean_effect_is_maximally_mixed(self):
-        rng = np.random.default_rng(5)
-        mean = sum(sample_projective_measurement(2, rng)[0] for _ in range(10_000)) / 10_000
-        assert np.max(np.abs(mean - np.eye(2) / 2)) < 0.05
+        povms = sample_ensemble(2, 0, 10_000, np.random.default_rng(5)).povms
+        assert np.max(np.abs(povms[:, 0].mean(axis=0) - np.eye(2) / 2)) < 0.05
 
     def test_degenerate_pattern(self):
         rng = np.random.default_rng(6)
-        povm = sample_projective_measurement(3, rng, degeneracies=[2, 1])
+        povm = sample_ensemble(3, 0, 1, rng, degeneracies=[2, 1]).povms[0]
         assert len(povm) == 2
         assert np.trace(povm[0]).real == pytest.approx(2.0, abs=1e-10)
         assert np.max(np.abs(sum(povm) - np.eye(3))) < 1e-10
@@ -84,9 +104,9 @@ class TestSampleProjectiveMeasurement:
     def test_rejects_bad_degeneracies(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_projective_measurement(3, rng, degeneracies=[2, 2])
+            sample_ensemble(3, 0, 1, rng, degeneracies=[2, 2])
         with pytest.raises(ValueError, match=r"^degeneracies\[0\] must be an integer, got 1.5$"):
-            sample_projective_measurement(3, rng, degeneracies=[1.5, 1.5])
+            sample_ensemble(3, 0, 1, rng, degeneracies=[1.5, 1.5])
         with pytest.raises(ValueError, match=r"^degeneracies\[1\] must be an integer, got True$"):
             projective_multiplicities(2, None, [1, True])
         with pytest.raises(ValueError, match=r"^degeneracies must be a list, got \(2, 1\)$"):
@@ -190,7 +210,7 @@ class TestBornTable:
     def test_povm_norm_budget(self):
         rng = np.random.default_rng(9)
         for d in (2, 3, 4):
-            povm = sample_projective_measurement(d, rng)
+            povm = sample_ensemble(d, 0, 1, rng).povms[0]
             budget = sum(np.linalg.norm(e) ** 2 for e in povm)
             assert budget == pytest.approx(d, abs=1e-9)
 
