@@ -190,10 +190,11 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     fails, in this order:
 
     - ``unconverged``: the solve stopped at its iteration cap;
-    - ``dimension``: an exact table (no shots) whose numerical rank exceeds
-      d^2, which no d-dimensional model produces, because its data block is
-      P_st^T P_m of rank <= d^2 (a dimension witness: Brunner et al. 2008,
-      "Testing the dimension of Hilbert spaces");
+    - ``dimension``: exact data (no shots and ``cfg.epsilon`` 0) whose
+      numerical rank exceeds d^2, which no d-dimensional model produces,
+      because its data block is P_st^T P_m of rank <= d^2 (a dimension
+      witness: Brunner et al. 2008, "Testing the dimension of Hilbert
+      spaces");
     - ``rank_tail``: the |eigenvalue| tail beyond the table's numerical rank
       exceeds ``cfg.tau``;
     - ``purity``: with pure states on exact data (``cfg.epsilon`` 0), the
@@ -214,7 +215,7 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
         purity = float(np.abs(g_hat.values.diagonal()[: g_hat.n_states] - 1.0).max(initial=0.0))
     passed = {  # all run: the benchmark's tracer pairs each solve with one rank_certificate
         "unconverged": report.converged,
-        "dimension": table.shots is not None or target_rank <= cfg.d**2,
+        "dimension": table.shots is not None or cfg.epsilon > 0 or target_rank <= cfg.d**2,
         "rank_tail": rank_certificate(g_hat, target_rank, cfg.tau),
         "purity": purity is None or cfg.epsilon > 0 or purity <= cfg.tau,
     }

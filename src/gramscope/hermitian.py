@@ -16,15 +16,18 @@ from functools import cache
 
 import numpy as np
 
-# numpy.linalg.eigh and numpy.linalg.solve call these LAPACK gufuncs behind
+# numpy.linalg.eigh, solve, qr and cholesky call these LAPACK gufuncs behind
 # Python wrappers (_makearray, _commonType, an errstate context per call).
 # At n=15, the size of a d=2 ADMM iteration, the wrappers cost about 4 us
 # of a 29 us eigh and 5 us of an 11 us 20 x 20 solve, and one iteration
 # went from about 67 to 57 us without them (numpy 2.4, 2-core Xeon, one
-# BLAS thread). ``_eigh`` and ``_solve`` call the same gufuncs with the
-# signatures the wrappers pick for float64 input, so their results are
-# bit-identical. This is the one module that imports a private numpy
-# module (``tests/test_imports.py`` checks it).
+# BLAS thread). The Rayleigh-Ritz step of a d=3 (30,50) solve (n=180) takes
+# about 490 us, of which numpy.linalg.qr and cholesky's wrappers took 40 to
+# 140 us: qr copies its input and forms an R factor (triu) that the step
+# never reads. ``_eigh``, ``_solve``, ``_orth`` and ``_is_pd`` call the same
+# gufuncs with the signatures the wrappers pick for float64 input, so their
+# results are bit-identical. This is the one module that imports a private
+# numpy module (``tests/test_imports.py`` checks it).
 from numpy.linalg import _umath_linalg
 
 #: Symmetry residual above which inputs are rejected as non-Hermitian.
@@ -103,6 +106,41 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _orth(y: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.qr(y)[0]``, the Q of the reduced QR of a float64
+    matrix, without the wrapper and without forming R. ``y`` is
+    overwritten with its Householder factors. A failed call (a shape the
+    gufunc rejects, or a LAPACK error, which fills the reflectors' scales
+    with NaN and warns) is repeated through ``numpy.linalg.qr``, which
+    raises its ``LinAlgError``: LAPACK's QR rejects arguments, never
+    values, so the repeat fails as the first call did. A NaN in ``y``'s
+    first column, which also gives NaN scales, gets numpy's all-NaN Q."""
+    try:
+        tau = _umath_linalg.qr_r_raw(y, signature="d->d")
+    except (ValueError, FloatingPointError, RuntimeWarning):
+        return np.linalg.qr(y)[0]
+    if tau.size and tau[0] != tau[0]:
+        return np.linalg.qr(y)[0]
+    return _umath_linalg.qr_reduced(y, tau, signature="dd->d")
+
+
+def _is_pd(a: np.ndarray) -> bool:
+    """Whether ``numpy.linalg.cholesky(a)`` of a float64 symmetric matrix
+    succeeds, without the wrapper. LAPACK's failure fills the whole factor
+    with NaN, while a factor it returns has zeros above the diagonal, so
+    the verdict reads the top-right corner; a NaN entry that the
+    factorization passes over gets numpy's verdict too. A matrix that is
+    not square is repeated through ``numpy.linalg.cholesky``, which raises
+    its ``LinAlgError``."""
+    try:
+        with np.errstate(invalid="ignore"):
+            lo = _umath_linalg.cholesky_lo(a, signature="d->d")
+    except ValueError:
+        np.linalg.cholesky(a)
+        return True
+    return not lo.size or bool(lo[0, -1] == lo[0, -1])
+
+
 def hermiticity_residual(h: np.ndarray) -> np.ndarray:
     """Per matrix of a (..., d, d) stack, its largest |entry| of H - H^dag."""
     return np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
@@ -175,10 +213,14 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
     projection of A is at most sqrt(2)||R||_F. An accepted step keeps
     exactly Q+ as the next basis, so the next step works in a subspace of
     twice as many dimensions as there were positive Ritz values.
+
+    The orthonormalization (``_orth``), the Ritz eigendecomposition
+    (``_eigh``) and the Cholesky certificate (``_is_pd``) call numpy's
+    LAPACK gufuncs directly, with numpy.linalg's results and verdicts.
     """
     q = warm.basis
     aq = a @ q
-    x = np.linalg.qr(np.hstack((q, aq - q @ (q.T @ aq))))[0]
+    x = _orth(np.concatenate((q, aq - q @ (q.T @ aq)), axis=1))
     ax = a @ x
     w, s = _eigh(x.T @ ax)
     first = int(w.searchsorted(0.0, "right"))  # first positive Ritz value
@@ -189,11 +231,10 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
         return None
     # A Q+ = Q+ T+ + R with Q+^T R = 0 turns Q+ Q+^T - PAP into
     # Q+ (I + T+) Q+^T + R Q+^T + Q+ R^T - A
-    comp = np.hstack((q * (1.0 + tpos) + res, q)) @ np.hstack((q, res)).T
+    left = np.concatenate((q * (1.0 + tpos) + res, q), axis=1)
+    comp = left @ np.concatenate((q, res), axis=1).T
     comp -= a
-    try:
-        np.linalg.cholesky(comp)
-    except np.linalg.LinAlgError:
+    if not _is_pd(comp):
         return None
     warm.basis = q
     return _outer_clipped(q, tpos, hi)

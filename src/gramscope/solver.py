@@ -177,33 +177,28 @@ def _pin_rule(kn: Knowledge, at: np.ndarray, scale: np.ndarray | float = 1.0):
     """The knowledge projection on a flat array whose entry ``at[p]`` holds
     the entry of pin p times ``scale[p]``.
 
-    Returns a function that, in place, writes every exact pin (lo == hi)
-    with one ``put`` and clips every interval pin into [lo, hi] (both
-    times ``scale``).
+    Returns a function that, in place, writes every pin's entry: with
+    exact pins alone (lo == hi) one ``put`` of the values, otherwise one
+    ``put`` that clips every pin into [lo, hi] (both times ``scale``),
+    which writes an exact pin's value as well.
     """
     pins = kn.constraints
-    exact = pins["lo"] == pins["hi"]
     lo = pins["lo"] * scale
     hi = pins["hi"] * scale
-    exact_at, values = at[exact], lo[exact]
-    interval_at, interval_lo, interval_hi = at[~exact], lo[~exact], hi[~exact]
-    # Exact pins alone skip four calls on empty arrays: 0.8 against 2.0 us
-    # at n=15 (65 pins), of a 55 us iteration of an asymptotic d=2 solve.
-    # End to end, one clip rule for every pin (bit-identical on all 408
-    # benchmark pool instances) was slower in 4 of 4 alternating pairs on
-    # d2_single_solve (trial_cost.p50 medians 0.3318 -> 0.3410) and on
-    # d3_large_solve (0.1568 -> 0.1616), and in 3 of 4 on d2_shots_augment.
-    # A second set of 4 pairs read 0.3202 -> 0.3289 (4 of 4) and 0.1548 ->
-    # 0.1553 (3 of 4); on d2_shots_augment, whose interval pins take the
-    # two-put path below, it read 0.4419 -> 0.4307, faster in 4 of 4.
-    if not interval_at.size:
-        return lambda x: x.put(exact_at, values)
-
-    def apply(x: np.ndarray) -> None:
-        x.put(exact_at, values)
-        x.put(interval_at, np.minimum(np.maximum(x.take(interval_at), interval_lo), interval_hi))
-
-    return apply
+    # Exact pins alone skip the clip: 0.4 against 1.5 us at n=15 (65 pins),
+    # of a 55 us iteration of an asymptotic d=2 solve. End to end, one clip
+    # rule for every pin (bit-identical on all 408 benchmark pool instances)
+    # was slower in 4 of 4 alternating pairs on d2_single_solve
+    # (trial_cost.p50 medians 0.3318 -> 0.3410) and on d3_large_solve
+    # (0.1568 -> 0.1616); a second set of 4 pairs read 0.3202 -> 0.3289
+    # (4 of 4) and 0.1548 -> 0.1553 (3 of 4). With interval pins, one clip
+    # of every pin costs 1.45 us at n=15 (65 pins, 15 of them exact) where a
+    # put of the exact pins plus a clip of the others cost 1.63 us; on
+    # d2_shots_augment it read 0.4371 -> 0.4327, faster in 15 of 20
+    # alternating pairs, within the parent's quartile distance of 0.0129.
+    if np.array_equal(lo, hi):
+        return lambda x: x.put(at, lo)
+    return lambda x: x.put(at, np.minimum(np.maximum(x.take(at), lo), hi))
 
 
 def prox_trace_plus_knowledge(m: np.ndarray, kn: Knowledge, sigma: float) -> np.ndarray:

@@ -455,6 +455,19 @@ class TestRefusal:
         est, _ = estimate(cfg)
         assert est.target_rank > 4 and est.refusal != "dimension"
 
+    def test_interval_pins_are_not_held_to_the_witness(self):
+        # a shot table recorded without its shot count is still noisy data:
+        # under interval pins it is solved and certified as it is with the count
+        cfg = TrialConfig(
+            d=2, n_states=5, n_measurements=5, shots=10**6, epsilon=5e-3, tau=1e-2,
+            max_augmentations=0, seed=3,
+        )
+        est, _ = estimate(cfg)
+        bare = solve_table(replace(est.table, shots=None), cfg)
+        assert est.certified and est.target_rank > 4
+        assert bare.certified and bare.refusal is None
+        assert np.array_equal(bare.g_hat.values, est.g_hat.values)
+
     def test_unconverged_comes_first(self):
         cfg = TrialConfig(
             d=2, n_states=5, n_measurements=5, max_augmentations=0,

@@ -9,6 +9,8 @@ import pytest
 from gramscope.hermitian import (
     WarmSpectrum,
     _eigh,
+    _is_pd,
+    _orth,
     _solve,
     clip_spectrum,
     herm_basis,
@@ -306,14 +308,13 @@ class TestClipSpectrumWarm:
         e = rng.standard_normal((40, 40))
         m2 = m + 1e-3 * (e + e.T)
         warm = WarmSpectrum(tol=0.0, basis=u[:, 40 - 3 :])
-        qr = np.linalg.qr
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(y):
             calls.append(1)
-            return qr(*args, **kwargs)
+            return _orth(y)
 
-        monkeypatch.setattr("numpy.linalg.qr", counting)
+        monkeypatch.setattr("gramscope.hermitian._orth", counting)
         out = clip_spectrum(m2, self.RADIUS, warm=warm)
         assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
         assert len(calls) == 1
@@ -321,19 +322,29 @@ class TestClipSpectrumWarm:
 
 
 @contextmanager
-def warning_mode(mode):
-    """Run a failing LAPACK call with numpy's default error handling (its
-    RuntimeWarning is expected), with warnings as errors, with numpy set to
-    raise or to ignore invalid values."""
+def error_mode(mode):
+    """Run with numpy's default error handling, with warnings as errors, or
+    with numpy set to raise or to ignore invalid values."""
     if mode == "default":
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            yield
+        yield
     elif mode == "warnings_as_errors":
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             yield
     else:
         with np.errstate(invalid=mode):
+            yield
+
+
+@contextmanager
+def warning_mode(mode):
+    """Run a failing LAPACK call under ``error_mode(mode)``; with numpy's
+    default error handling its RuntimeWarning is expected."""
+    with error_mode(mode):
+        if mode == "default":
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                yield
+        else:
             yield
 
 
@@ -365,6 +376,61 @@ class TestDirectLapack:
         x = _solve(a, b)
         assert x.dtype == np.float64
         assert np.array_equal(x, np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("shape", [(40, 6), (180, 18), (180, 40), (40, 0)])
+    def test_orth_is_numpys_q(self, shape):
+        rng = np.random.default_rng(shape[1])
+        y = rng.standard_normal(shape)
+        q = _orth(y.copy())
+        assert q.dtype == np.float64
+        assert np.array_equal(q, np.linalg.qr(y)[0])
+
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_orth_of_partly_nan_input_is_numpys_q(self, col):
+        # a NaN in the first column spoils every reflector, one in a later
+        # column only the reflectors from there on; either way numpy's Q
+        y = np.random.default_rng(col).standard_normal((40, 6))
+        y[5, col] = np.nan
+        assert np.array_equal(_orth(y.copy()), np.linalg.qr(y)[0], equal_nan=True)
+
+    @staticmethod
+    def pd_cases():
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((30, 30))
+        pd = b @ b.T + np.eye(30)
+        indefinite = pd.copy()
+        indefinite[7, 7] = -100.0
+        nan_corner, nan_off = pd.copy(), pd.copy()
+        nan_corner[0, 0] = np.nan
+        nan_off[3, 4] = nan_off[4, 3] = np.nan
+        return [pd, indefinite, np.full((30, 30), np.nan), nan_corner, nan_off, -np.eye(1)]
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_is_pd_is_numpys_verdict(self, mode):
+        verdicts = []
+        with error_mode(mode):
+            for a in self.pd_cases():
+                try:
+                    np.linalg.cholesky(a)
+                    expected = True
+                except np.linalg.LinAlgError:
+                    expected = False
+                assert _is_pd(a) is expected
+                verdicts.append(expected)
+        # both verdicts occur; whether a NaN matrix passes is LAPACK's call
+        assert verdicts[:2] == [True, False] and verdicts[-1] is False
+
+    def test_is_pd_rejects_non_square(self):
+        with pytest.raises(np.linalg.LinAlgError, match="square"):
+            _is_pd(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_clip_with_warm_basis_rejects_nan_matrix(self, mode):
+        # the partial step orthonormalizes NaN columns without error; its
+        # Ritz eigendecomposition then fails as the full step's would
+        warm = WarmSpectrum(tol=1.0, basis=np.eye(40)[:, :3])
+        with warning_mode(mode), pytest.raises(np.linalg.LinAlgError):
+            clip_spectrum(np.full((40, 40), np.nan), 1.0, warm=warm)
 
     def test_partly_nan_input_gives_numpys_result(self):
         # LAPACK may return without error on a NaN entry; the result is then
