@@ -5,10 +5,14 @@
 ``solve_table`` solves and certifies one table under any of them. A trial
 starts from the ensemble and table that ``draw_trial`` draws (the two
 ``gramscope synth`` writes) and solves each table with ``solve_table``.
-While a converged solve is refused for any reason but the table's
-dimension and budget remains, the trial grows by one state (a row) or one
+A trial grows only on a ``rank_tail`` or ``purity`` refusal, the two that
+more data can fix, while budget remains: by one state (a row) or one
 measurement (K columns), state first and alternating, drawn by
-``sample_ensemble`` like the others.
+``sample_ensemble`` like the others. Any other outcome ends it.
+
+Two data conditions gate the checks. Exact pins (``epsilon`` 0) pin each
+data-block entry to its value; the purity check needs them. Exact data
+are exact pins on a table with no shots; the dimension witness needs them.
 """
 
 from __future__ import annotations
@@ -85,11 +89,13 @@ class SolveConfig:
     @property
     def pure_states(self) -> bool:
         """Whether every state is declared pure, so that each diagonal entry
-        of the states' block is 1; on exact data (``epsilon`` 0) the
-        certificate then also holds their largest distance from 1 to
-        ``tau``. Bare solve settings declare nothing about the states, so
-        it is false here; ``TrialConfig`` derives it from ``mixed_states``
-        and the CLI's ``DataConfig`` sets it."""
+        of the states' block is 1. With exact pins (``epsilon`` 0; exact
+        data are exact pins on a table with no shots) the certificate then
+        also holds their largest distance from 1 to ``tau``, shots or not,
+        and a ``purity`` refusal grows a trial as a ``rank_tail`` one does.
+        Bare solve settings declare nothing about the states, so it is
+        false here; ``TrialConfig`` derives it from ``mixed_states`` and
+        the CLI's ``DataConfig`` sets it."""
         return False
 
 
@@ -190,22 +196,25 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
     fails, in this order:
 
     - ``unconverged``: the solve stopped at its iteration cap;
-    - ``dimension``: exact data (no shots and ``cfg.epsilon`` 0) whose
-      numerical rank exceeds d^2, which no d-dimensional model produces,
-      because its data block is P_st^T P_m of rank <= d^2 (a dimension
-      witness: Brunner et al. 2008, "Testing the dimension of Hilbert
-      spaces");
+    - ``dimension``: exact data whose numerical rank exceeds d^2, which no
+      d-dimensional model produces, because its data block is P_st^T P_m
+      of rank <= d^2 (a dimension witness: Brunner et al. 2008, "Testing
+      the dimension of Hilbert spaces");
     - ``rank_tail``: the |eigenvalue| tail beyond the table's numerical rank
       exceeds ``cfg.tau``;
-    - ``purity``: with pure states on exact data (``cfg.epsilon`` 0), the
-      purity residual exceeds ``cfg.tau``.
+    - ``purity``: with pure states and exact pins, the purity residual
+      exceeds ``cfg.tau``.
 
-    A certified estimate carries its rank-r factor. A ``TrialConfig`` is a
-    ``SolveConfig``, so ``solve_table(est.table, cfg)`` re-runs a trial's
-    last solve.
+    Exact pins are ``cfg.epsilon`` 0; exact data are exact pins on a table
+    with no shots. ``estimate`` grows a trial only on ``rank_tail`` or
+    ``purity``, the refusals that more data can fix. A certified estimate
+    carries its rank-r factor. A ``TrialConfig`` is a ``SolveConfig``, so
+    ``solve_table(est.table, cfg)`` re-runs a trial's last solve.
     """
+    exact_pins = cfg.epsilon == 0
+    exact_data = exact_pins and table.shots is None
     kn = knowledge_projective(table, cfg.d, cfg.degeneracies)
-    if cfg.epsilon:
+    if not exact_pins:
         kn = knowledge_relax(kn, cfg.epsilon)
     target_rank = numerical_rank(table.values)
     prob = SdpProblem(knowledge=kn, radius=r_qm(table.n_states, table.n_measurements, cfg.d))
@@ -215,9 +224,9 @@ def solve_table(table: DataTable, cfg: SolveConfig) -> GramEstimate:
         purity = float(np.abs(g_hat.values.diagonal()[: g_hat.n_states] - 1.0).max(initial=0.0))
     passed = {  # all run: the benchmark's tracer pairs each solve with one rank_certificate
         "unconverged": report.converged,
-        "dimension": table.shots is not None or cfg.epsilon > 0 or target_rank <= cfg.d**2,
+        "dimension": not exact_data or target_rank <= cfg.d**2,
         "rank_tail": rank_certificate(g_hat, target_rank, cfg.tau),
-        "purity": purity is None or cfg.epsilon > 0 or purity <= cfg.tau,
+        "purity": purity is None or not exact_pins or purity <= cfg.tau,
     }
     refusal = next((check for check, ok in passed.items() if not ok), None)
     certified = refusal is None
@@ -252,12 +261,14 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     ground-truth ensemble for evaluation.
 
     Each step is one ``solve_table`` on the current table, so the result
-    is exactly what ``solve_table`` gives on the final table. A solve that
-    stops at its iteration cap is never certified, and it ends the trial
-    rather than start a larger solve under the same cap. A ``dimension``
-    refusal ends it too: more data cannot fit a model of the wrong
-    dimension. An unconverged solve, a wrong dimension or an exhausted
-    augmentation budget yields ``certified=False`` rather than an exception.
+    is exactly what ``solve_table`` gives on the final table. The trial
+    grows only on a ``rank_tail`` or ``purity`` refusal, the two that more
+    data can fix, and only while ``cfg.max_augmentations`` allows; any
+    other outcome ends it. So a certified estimate ends it, and so do an
+    ``unconverged`` solve (a larger solve under the same cap would not do
+    better) and a ``dimension`` refusal (more data cannot fit a model of
+    the wrong dimension). A refused estimate is returned with
+    ``certified=False``, not raised.
     """
     rng = np.random.default_rng(cfg.seed)
     ens, table = draw_trial(cfg, rng)
@@ -265,12 +276,7 @@ def estimate(cfg: TrialConfig) -> tuple[GramEstimate, Ensemble]:
     while True:
         est = solve_table(table, cfg)
         iterations.append(est.report.iterations)
-        if (
-            est.certified
-            or not est.report.converged
-            or est.refusal == "dimension"
-            or len(iterations) > cfg.max_augmentations
-        ):
+        if est.refusal not in ("rank_tail", "purity") or len(iterations) > cfg.max_augmentations:
             break
         add_state = int(cfg.state_first == (len(iterations) % 2 == 1))
         new = sample_ensemble(

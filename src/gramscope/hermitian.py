@@ -26,8 +26,9 @@ import numpy as np
 # 140 us: qr copies its input and forms an R factor (triu) that the step
 # never reads. ``_eigh``, ``_solve``, ``_orth`` and ``_is_pd`` call the same
 # gufuncs with the signatures the wrappers pick for float64 input, so their
-# results are bit-identical. This is the one module that imports a private
-# numpy module (``tests/test_imports.py`` checks it).
+# results are bit-identical; ``_is_pd`` alone departs from numpy, to refuse
+# a NaN matrix that OpenBLAS's Cholesky passes. This is the one module that
+# imports a private numpy module (``tests/test_imports.py`` checks it).
 from numpy.linalg import _umath_linalg
 
 #: Symmetry residual above which inputs are rejected as non-Hermitian.
@@ -125,20 +126,22 @@ def _orth(y: np.ndarray) -> np.ndarray:
 
 
 def _is_pd(a: np.ndarray) -> bool:
-    """Whether ``numpy.linalg.cholesky(a)`` of a float64 symmetric matrix
-    succeeds, without the wrapper. LAPACK's failure fills the whole factor
-    with NaN, while a factor it returns has zeros above the diagonal, so
-    the verdict reads the top-right corner; a NaN entry that the
-    factorization passes over gets numpy's verdict too. A matrix that is
-    not square is repeated through ``numpy.linalg.cholesky``, which raises
-    its ``LinAlgError``."""
+    """Whether a float64 symmetric matrix is positive definite, by the
+    Cholesky factorization of ``numpy.linalg.cholesky`` without its
+    wrapper. The verdict reads the factor's last diagonal entry: positive
+    for a finite positive definite matrix, NaN when LAPACK fails (its
+    failure fills the whole factor with NaN) and NaN when any NaN in the
+    lower triangle enters the factor. So it is numpy's verdict on finite
+    matrices and False on NaN ones, which OpenBLAS may factor without
+    error. A matrix that is not square is repeated through
+    ``numpy.linalg.cholesky``, which raises its ``LinAlgError``."""
     try:
         with np.errstate(invalid="ignore"):
             lo = _umath_linalg.cholesky_lo(a, signature="d->d")
     except ValueError:
         np.linalg.cholesky(a)
         return True
-    return not lo.size or bool(lo[0, -1] == lo[0, -1])
+    return not lo.size or bool(lo[-1, -1] == lo[-1, -1])
 
 
 def hermiticity_residual(h: np.ndarray) -> np.ndarray:
@@ -216,7 +219,10 @@ def _partial_psd(a: np.ndarray, hi: float, warm: WarmSpectrum) -> np.ndarray | N
 
     The orthonormalization (``_orth``), the Ritz eigendecomposition
     (``_eigh``) and the Cholesky certificate (``_is_pd``) call numpy's
-    LAPACK gufuncs directly, with numpy.linalg's results and verdicts.
+    LAPACK gufuncs directly, with numpy.linalg's results and verdicts,
+    except that the certificate refuses every NaN matrix. With an empty
+    basis the step is that certificate on -A alone, so a NaN iterate falls
+    back to the full step there too.
     """
     q = warm.basis
     aq = a @ q

@@ -335,7 +335,7 @@ class TestEstimateEndToEnd:
         def never_certified(table, *args, **kwargs):
             return GramEstimate(
                 g_hat=None, certified=False, target_rank=0, rank_tail=1.0, augmentations=0,
-                report=report, table=table,
+                report=report, refusal="rank_tail", table=table,
             )
 
         monkeypatch.setattr("gramscope.estimator.solve_table", never_certified)
@@ -446,10 +446,12 @@ class TestRefusal:
         assert est.refusal == "dimension"
         assert (est.solves, est.augmentations) == (1, 0) and ens is leak[0]
 
-    def test_shot_tables_are_not_held_to_the_witness(self):
-        # sampling noise lifts a shot table's numerical rank above d^2
+    @pytest.mark.parametrize("epsilon", [5e-3, 0.0])
+    def test_shot_tables_are_not_held_to_the_witness(self, epsilon):
+        # sampling noise lifts a shot table's numerical rank above d^2,
+        # with exact pins too
         cfg = TrialConfig(
-            d=2, n_states=5, n_measurements=5, shots=10**6, epsilon=5e-3, tau=1e-2,
+            d=2, n_states=5, n_measurements=5, shots=10**6, epsilon=epsilon, tau=1e-2,
             max_augmentations=0, seed=3,
         )
         est, _ = estimate(cfg)

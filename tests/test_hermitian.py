@@ -407,9 +407,14 @@ class TestDirectLapack:
 
     @pytest.mark.parametrize("mode", ERROR_MODES)
     def test_is_pd_is_numpys_verdict(self, mode):
+        # numpy's verdict on a finite matrix, both verdicts occurring; False
+        # on a NaN one, which numpy.linalg.cholesky may pass without error
         verdicts = []
         with error_mode(mode):
             for a in self.pd_cases():
+                if np.isnan(a).any():
+                    assert _is_pd(a) is False
+                    continue
                 try:
                     np.linalg.cholesky(a)
                     expected = True
@@ -417,8 +422,7 @@ class TestDirectLapack:
                     expected = False
                 assert _is_pd(a) is expected
                 verdicts.append(expected)
-        # both verdicts occur; whether a NaN matrix passes is LAPACK's call
-        assert verdicts[:2] == [True, False] and verdicts[-1] is False
+        assert verdicts == [True, False, False]
 
     def test_is_pd_rejects_non_square(self):
         with pytest.raises(np.linalg.LinAlgError, match="square"):
@@ -431,6 +435,36 @@ class TestDirectLapack:
         warm = WarmSpectrum(tol=1.0, basis=np.eye(40)[:, :3])
         with warning_mode(mode), pytest.raises(np.linalg.LinAlgError):
             clip_spectrum(np.full((40, 40), np.nan), 1.0, warm=warm)
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    @pytest.mark.parametrize("nan", ["all", "diagonal", "pair"])
+    def test_clip_with_empty_basis_of_nan_matrix_is_the_full_step(self, mode, nan):
+        # with no basis the partial step is the Cholesky test of -A alone,
+        # which a NaN matrix fails: the warm clip falls back to the full
+        # step and gives what the cold clip gives, its array with its NaNs
+        # or its exception
+        m = -np.eye(40) - 0.01 * np.ones((40, 40))
+        if nan == "all":
+            m[:] = np.nan
+        elif nan == "diagonal":
+            m[0, 0] = np.nan
+        else:
+            m[3, 4] = m[4, 3] = np.nan
+
+        def outcome(warm):
+            try:
+                return clip_spectrum(m, 2.5, warm=warm)
+            except np.linalg.LinAlgError as exc:
+                return type(exc)
+
+        warm = WarmSpectrum(tol=1.0, basis=np.zeros((40, 0)))
+        with error_mode(mode), warnings.catch_warnings(record=True):
+            cold, warmed = outcome(None), outcome(warm)
+        assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
+        if isinstance(cold, np.ndarray):
+            assert np.array_equal(warmed, cold, equal_nan=True)
+        else:
+            assert warmed is cold
 
     def test_partly_nan_input_gives_numpys_result(self):
         # LAPACK may return without error on a NaN entry; the result is then
