@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -24,17 +25,12 @@ class BatchSpec:
     """A list of trial templates, each repeated ``trials_per_template`` times."""
 
     templates: list[TrialConfig]
-    trials_per_template: int
-    master_seed: int = 0
-    jobs: int = 1
+    trials_per_template: Annotated[int, (">=", 1)]
+    master_seed: Annotated[int, (">=", 0)] = 0
+    jobs: Annotated[int, (">=", 1)] = 1
 
     def __post_init__(self):
         check_types(self)
-        for name in ("trials_per_template", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
         if not self.templates:
             raise ValueError("batch needs at least one template")
 

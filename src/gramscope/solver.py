@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -88,12 +89,10 @@ class SdpProblem:
     is the knowledge's."""
 
     knowledge: Knowledge
-    radius: float
+    radius: Annotated[float, (">", 0)]
 
     def __post_init__(self):
         check_types(self)
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
 
     @property
     def n(self) -> int:
@@ -108,16 +107,12 @@ class SolverOptions:
     most ``dual_tol`` (see ``solve_trace_min``); the step itself is fixed
     by ``RHO`` and ``RHO_UPDATE_EVERY``."""
 
-    max_iters: int = 200_000
-    primal_tol: float = 1e-8
-    dual_tol: float = 1e-8
+    max_iters: Annotated[int, (">=", 1)] = 200_000
+    primal_tol: Annotated[float, (">", 0)] = 1e-8
+    dual_tol: Annotated[float, (">", 0)] = 1e-8
 
     def __post_init__(self):
         check_types(self)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.primal_tol <= 0 or self.dual_tol <= 0:
-            raise ValueError("tolerances must be > 0")
 
 
 @dataclass

@@ -16,9 +16,11 @@ import functools
 import json
 import math
 import numbers
+import operator
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -34,7 +36,7 @@ class Ensemble:
     POVMs projective, tr(E_k E_q) = delta_kq tr(E_k) within 1e-9. Errors name the first
     bad state, effect or POVM."""
 
-    dim: int
+    dim: Annotated[int, (">=", 1)]
     states: np.ndarray = ()
     povms: np.ndarray = ()
 
@@ -120,17 +122,13 @@ class DataTable:
     """
 
     values: np.ndarray
-    n_states: int
-    n_measurements: int
-    n_outcomes: int
-    shots: int | None = None
+    n_states: Annotated[int, (">=", 1)]
+    n_measurements: Annotated[int, (">=", 1)]
+    n_outcomes: Annotated[int, (">=", 1)]
+    shots: Annotated[int, (">=", 1)] | None = None
 
     def __post_init__(self):
         check_types(self)
-        for name in ("n_states", "n_measurements", "n_outcomes", "shots"):
-            count = getattr(self, name)
-            if count is not None and count < 1:
-                raise ValueError(f"{name} must be >= 1, got {count}")
         vals = self.values
         if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"):
             for at, cell in np.ndenumerate(np.asarray(vals, dtype=object)):
@@ -217,8 +215,12 @@ def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return np.trace(rho @ effects, axis1=-2, axis2=-1).real
 
 
-#: The resolved annotations of a dataclass, read once per class.
+#: The resolved annotations of a dataclass, read once per class: plain
+#: types, or with ``include_extras=True`` their bounds too.
 field_types = functools.cache(typing.get_type_hints)
+
+#: The comparisons a bound in an annotation may make.
+LIMITS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 def check_types(obj) -> None:
@@ -226,13 +228,20 @@ def check_types(obj) -> None:
     dataclass ``obj`` not meeting its annotation. ``int`` takes an integer,
     ``float`` a finite real (neither a bool), ``bool`` a bool, ``str`` a
     string, a record an instance of it, ``list[X]`` a list of X (a bad item
-    named by index: ``templates[1]``), ``X | None`` None too; others anything."""
-    for name, kind in field_types(type(obj)).items():
+    named by index: ``templates[1]``), ``X | None`` None too,
+    ``Annotated[X, (op, limit), ...]`` an X held to each limit, with ``op``
+    one of ``LIMITS`` (``d must be >= 1, got 0``); others anything."""
+    for name, kind in field_types(type(obj), include_extras=True).items():
         _check(kind, getattr(obj, name), name)
 
 
 def _check(kind, value, place: str) -> None:
-    if kind is int:
+    if typing.get_origin(kind) is Annotated:
+        _check(kind.__origin__, value, place)
+        for op, limit in kind.__metadata__:
+            if not LIMITS[op](value, limit):
+                raise ValueError(f"{place} must be {op} {limit}, got {value!r}")
+    elif kind is int:
         if type(value) is bool or not isinstance(value, numbers.Integral):
             raise ValueError(f"{place} must be an integer, got {value!r}")
     elif kind is float:

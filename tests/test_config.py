@@ -3,7 +3,8 @@ one loader, ``from_json(cls, obj)``, reads every one of them: a field
 annotated with a dataclass, or a list of one, is built from its nested
 JSON by that same loader, and an error inside names its place. One type
 rule, ``check_types``, decides what each field may hold, and every field
-of a kind it checks rejects a wrong-typed value by name; the loader
+of a kind it checks rejects a wrong-typed value by name, as every limit in
+an annotation rejects the nearest value past it; the loader
 rejects a key that is not a field by name. Every record that checks itself
 applies the type rule. The settings of a solve are declared and checked
 once, by ``SolveConfig``, for every config that extends it.
@@ -15,6 +16,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -28,7 +30,7 @@ from gramscope.cli import EXIT_CONFIG, DataConfig, main
 from gramscope.estimator import SolveConfig, TrialConfig
 from gramscope.gram import GramMatrix, Knowledge
 from gramscope.solver import SdpProblem, SolverOptions
-from gramscope.synth import DataTable, check_types, dump_json, field_types, from_json
+from gramscope.synth import DataTable, Ensemble, check_types, dump_json, field_types, from_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gramscope"
 
@@ -42,10 +44,10 @@ LOADERS = {
     BatchSpec: {"templates": [TRIAL], "trials_per_template": 1},
     DataConfig: {"d": 2, "data": "recorded"},
     DataTable: {
-        "values": [[0.5, 0.5]], "n_states": 1, "n_measurements": 1, "n_outcomes": 2, "shots": None
+        "values": [[1.0]], "n_states": 1, "n_measurements": 1, "n_outcomes": 1, "shots": None
     },
     GramMatrix: {"values": [[1.0, 0.0], [0.0, 1.0]], "n_states": 1},
-    Knowledge: {"n": 3, "split": 1},
+    Knowledge: {"n": 3, "split": 0},
     SdpProblem: {"knowledge": {"n": 2}, "radius": 1.0},
 }
 
@@ -87,6 +89,57 @@ def test_wrong_type_is_rejected_by_name(cls, name, value):
             from_json(cls, {**valid, name: value})
 
 
+#: Per record whose annotations bound a field, a valid JSON dict; each
+#: valid counting field sits at its limit, so a record at a closed limit is
+#: one field away from it.
+BOUNDED = {**LOADERS, Ensemble: {"dim": 1}}
+
+
+def bounds(hint):
+    """The type and the (op, limit) bounds of an annotation; ``X | None`` has X's."""
+    if type(None) in typing.get_args(hint):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is typing.Annotated:
+        return hint.__origin__, hint.__metadata__
+    return hint, ()
+
+
+def nearest_past(kind, op, limit):
+    """The value of ``kind`` nearest ``limit`` that the bound (op, limit)
+    rejects: the limit itself for ``>``, otherwise one step past it."""
+    if op == ">":
+        return kind(limit)
+    step = 1 if op == "<=" else -1
+    return limit + step if kind is int else math.nextafter(limit, step * math.inf)
+
+
+LIMIT_CASES = [
+    pytest.param(cls, name, kind, op, limit, id=f"{cls.__name__}.{name}{op}{limit}")
+    for cls in BOUNDED
+    for name, hint in field_types(cls, include_extras=True).items()
+    for kind, limits in [bounds(hint)]
+    for op, limit in limits
+]
+
+
+@pytest.mark.parametrize("cls, name, kind, op, limit", LIMIT_CASES)
+def test_value_past_a_limit_is_rejected_by_name(cls, name, kind, op, limit):
+    valid = BOUNDED[cls]
+    record = from_json(cls, valid)
+    value = nearest_past(kind, op, limit)
+    message = rf"^{name} must be {re.escape(op)} {limit}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        replace(record, **{name: value})
+    with pytest.raises(ValueError, match=message):
+        from_json(cls, {**valid, name: value})
+    if op != ">":  # a closed bound takes its limit
+        assert getattr(replace(record, **{name: kind(limit)}), name) == limit
+
+
+def test_every_counting_record_has_bounded_fields():
+    assert {case.values[0] for case in LIMIT_CASES} == set(BOUNDED) - {GramMatrix}
+
+
 @pytest.mark.parametrize("cls", list(LOADERS), ids=lambda cls: cls.__name__)
 def test_unknown_key_is_rejected_by_name(cls):
     with pytest.raises(ValueError, match="bogus_key"):
@@ -113,7 +166,7 @@ def test_every_config_has_checked_fields():
         (
             BatchSpec,
             {"templates": [{**TRIAL, "solver": {"max_iters": 0}}], "trials_per_template": 1},
-            "templates[0].solver: max_iters must be >= 1",
+            "templates[0].solver: max_iters must be >= 1, got 0",
         ),
         (
             BatchSpec,

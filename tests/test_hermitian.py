@@ -441,8 +441,7 @@ class TestDirectLapack:
     def test_clip_with_empty_basis_of_nan_matrix_is_the_full_step(self, mode, nan):
         # with no basis the partial step is the Cholesky test of -A alone,
         # which a NaN matrix fails: the warm clip falls back to the full
-        # step and gives what the cold clip gives, its array with its NaNs
-        # or its exception
+        # step and raises what the cold clip raises
         m = -np.eye(40) - 0.01 * np.ones((40, 40))
         if nan == "all":
             m[:] = np.nan
@@ -461,10 +460,7 @@ class TestDirectLapack:
         with error_mode(mode), warnings.catch_warnings(record=True):
             cold, warmed = outcome(None), outcome(warm)
         assert warm.partial_steps == 0 and warm.failed_partial_steps == 1
-        if isinstance(cold, np.ndarray):
-            assert np.array_equal(warmed, cold, equal_nan=True)
-        else:
-            assert warmed is cold
+        assert warmed is cold is np.linalg.LinAlgError
 
     def test_partly_nan_input_gives_numpys_result(self):
         # LAPACK may return without error on a NaN entry; the result is then
@@ -482,7 +478,29 @@ class TestDirectLapack:
             clip_spectrum(np.zeros(shape), 1.0)
 
     @pytest.mark.parametrize("mode", ERROR_MODES)
-    def test_clip_rejects_nan_matrix(self, mode):
+    @pytest.mark.parametrize("n", [2, 4, 40, 180])
+    @pytest.mark.parametrize("nan", ["all", "corner", "diagonal", "pair"])
+    def test_clip_rejects_nan_matrix(self, mode, n, nan):
+        # LAPACK may decompose a NaN matrix without error (an all-NaN one
+        # from n = 32 on), and one NaN entry may leave the first eigenvalue
+        # finite; cold or warm, the clip raises
+        m = np.random.default_rng(n).standard_normal((n, n))
+        m += m.T
+        if nan == "all":
+            m[:] = np.nan
+        elif nan == "corner":
+            m[0, 0] = np.nan
+        elif nan == "diagonal":
+            m[n // 2, n // 2] = np.nan
+        else:
+            m[n // 3, n // 2] = m[n // 2, n // 3] = np.nan
+        for warm in (None, WarmSpectrum(tol=1.0, basis=np.eye(n)[:, :1])):
+            with error_mode(mode), warnings.catch_warnings(record=True):
+                with pytest.raises(np.linalg.LinAlgError):
+                    clip_spectrum(m, 1.0, warm=warm)
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_clip_of_a_matrix_lapack_cannot_decompose_warns_as_numpy(self, mode):
         with warning_mode(mode), pytest.raises(np.linalg.LinAlgError):
             clip_spectrum(np.full((4, 4), np.nan), 1.0)
 
